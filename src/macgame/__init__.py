@@ -22,11 +22,9 @@ from .hybrid_dynamics import (
     HybridDynConfig,
     HybridState,
     HybridTrajectory,
+    hybrid_rhs,
     interior_rest_point_check,
     simulate_hybrid,
-    smith_rhs,
-    gfunction_rhs,
-    switch_rate,
 )
 from .hybrid_game import (
     HybridProfile,
@@ -40,19 +38,17 @@ from .hybrid_game import (
     receiver_capacity,
     solve_cop,
 )
-from .numerics import IntegratorConfig, NumericsError, bisect, kahan_sum, project_simplex, rk4_step
+from .numerics import IntegratorConfig, NumericsError, bisect, integrate, project_simplex, rk4_step
 from .population import (
     ActionGrid,
     PopulationModel,
     PopulationTrajectory,
     RevisionProtocol,
     dirac_state,
-    fitness,
     fitness_vector,
     in_mixed_region,
     mean_dynamics_rhs,
     mean_rate,
-    protocol_rate,
     simulate,
     uniform_state,
 )

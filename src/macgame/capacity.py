@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -73,6 +74,15 @@ class SingleReceiverScenario:
         """Per-user received SNR contributions P_i h_i / sigma0^2."""
         return self.power * self.gain / self.noise
 
+    @cached_property
+    def region_bounds(self) -> np.ndarray:
+        """C_Omega for every coalition bitmask; entry 0 (the empty set) is 0."""
+        table = coalition_table(self.n_users)
+        bounds = np.zeros(table.member.shape[0] + 1)
+        bounds[1:] = np.log1p(table.member @ self.snr_terms) / _log_scale(self.log_base)
+        bounds.setflags(write=False)
+        return bounds
+
     def is_symmetric(self, rtol: float = 1e-12) -> bool:
         s = self.snr_terms
         return bool(np.allclose(s, s[0], rtol=rtol, atol=0.0))
@@ -92,6 +102,32 @@ def coalitions(n_users: int) -> Iterator[int]:
 
 def coalition_members(mask: int, n_users: int) -> tuple[int, ...]:
     return tuple(i for i in range(n_users) if mask >> i & 1)
+
+
+@dataclass(frozen=True)
+class CoalitionTable:
+    """Dense coalition encoding shared by every module.
+
+    Row r stands for the nonempty coalition bitmask r + 1: member[r, i] is 1.0
+    when user i belongs to it and sizes[r] counts its members. A bound table
+    over coalitions is indexed by the same rows.
+    """
+
+    member: np.ndarray
+    sizes: np.ndarray
+
+
+@lru_cache(maxsize=MAX_USERS)
+def coalition_table(n_users: int) -> CoalitionTable:
+    """The read-only coalition table for n_users, built once per user count."""
+    if not 1 <= n_users <= MAX_USERS:
+        raise ScenarioError(f"n_users={n_users} outside the enumeration guard (1..{MAX_USERS})")
+    masks = np.arange(1, 1 << n_users)
+    member = ((masks[:, None] >> np.arange(n_users)[None, :]) & 1).astype(float)
+    sizes = member.sum(axis=1)
+    member.setflags(write=False)
+    sizes.setflags(write=False)
+    return CoalitionTable(member, sizes)
 
 
 @dataclass(frozen=True)
@@ -127,6 +163,10 @@ class CapacityRegion:
         """C_N, the bound of the grand coalition."""
         return float(self.bounds[self.full_mask])
 
+    @property
+    def table(self) -> CoalitionTable:
+        return coalition_table(self.n_users)
+
 
 def build_region(scenario: SingleReceiverScenario) -> CapacityRegion:
     """Construct the capacity polytope of a scenario.
@@ -134,17 +174,7 @@ def build_region(scenario: SingleReceiverScenario) -> CapacityRegion:
     Every nonempty coalition Omega gets the bound
     log(1 + sum_{i in Omega} P_i h_i / sigma0^2) in the scenario's base.
     """
-    n = scenario.n_users
-    if n > MAX_USERS:
-        raise ScenarioError(f"n_users={n} exceeds the enumeration guard ({MAX_USERS})")
-    scale = _log_scale(scenario.log_base)
-    snr = scenario.snr_terms
-    masks = np.arange(1 << n)
-    member = (masks[:, None] >> np.arange(n)[None, :]) & 1
-    coalition_snr = member @ snr
-    bounds = np.log1p(coalition_snr) / scale
-    bounds[0] = 0.0
-    return CapacityRegion(bounds, n, scenario.log_base)
+    return CapacityRegion(scenario.region_bounds, scenario.n_users, scenario.log_base)
 
 
 def as_rates(rates, n_users: int) -> np.ndarray:
@@ -162,11 +192,7 @@ def contains(region: CapacityRegion, rates, tol: float = 1e-9) -> bool:
     a = as_rates(rates, region.n_users)
     if np.any(a < -tol):
         return False
-    n = region.n_users
-    masks = np.arange(1 << n)
-    member = (masks[:, None] >> np.arange(n)[None, :]) & 1
-    sums = member @ a
-    return bool(np.all(sums[1:] <= region.bounds[1:] + tol))
+    return bool(np.all(region.table.member @ a <= region.bounds[1:] + tol))
 
 
 def safe_rate(scenario: SingleReceiverScenario, i: int, omega: int) -> float:

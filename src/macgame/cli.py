@@ -5,16 +5,14 @@
     macgame verify   <scenario.json> [...]
 
 Exit codes: 0 all verdicts pass, 1 some verdict is false, 2 parse or
-validation error, 3 numeric abort. Several files run as an isolated batch;
-MACGAME_THREADS caps the parallelism.
+validation error, 3 numeric abort. Several files run one after another, in
+the given order; the exit code is the largest of theirs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .capacity import ScenarioError
@@ -88,13 +86,7 @@ def _run_one(path: str, args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    files = list(args.files)
-    if len(files) == 1:
-        return _run_one(files[0], args)
-    max_threads = int(os.environ.get("MACGAME_THREADS", "0")) or min(len(files), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max_threads) as pool:
-        codes = list(pool.map(lambda f: _run_one(f, args), files))
-    return max(codes)
+    return max([_run_one(f, args) for f in args.files])
 
 
 if __name__ == "__main__":

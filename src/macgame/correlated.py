@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import ScenarioError, coalitions, coalition_members, contains
+from .capacity import ScenarioError, contains
 from .static_game import StaticGame, is_nash
 
 MERGE_TOL = 1e-12
@@ -98,23 +98,14 @@ def _conditional_payoffs(game: StaticGame, i: int, atoms: np.ndarray,
                          rates: np.ndarray) -> np.ndarray:
     """Payoff of user i under each candidate own-rate, against each atom's
     opponent profile; rows are candidate rates, columns atoms."""
-    n = game.n_users
-    others = np.delete(atoms, i, axis=1)            # (atoms, n-1)
-    n_atoms = atoms.shape[0]
-    feas = np.ones((rates.size, n_atoms), dtype=bool)
-    for mask in coalitions(n):
-        members = coalition_members(mask, n)
-        bound = game.region.bound(mask)
-        other_sum = np.zeros(n_atoms)
-        for m in members:
-            if m == i:
-                continue
-            col = m if m < i else m - 1
-            other_sum += others[:, col]
-        if mask >> i & 1:
-            feas &= rates[:, None] + other_sum[None, :] <= bound + 1e-12
-        else:
-            feas &= (other_sum <= bound + 1e-12)[None, :]
+    member = game.region.table.member
+    bound = game.region.bounds[1:] + 1e-12
+    others = atoms.copy()
+    others[:, i] = 0.0
+    other_sum = others @ member.T                   # (atoms, masks)
+    with_i = member[:, i] > 0.0
+    feas = np.all(rates[:, None, None] + other_sum[None, :, with_i] <= bound[with_i], axis=2)
+    feas &= np.all(other_sum[:, ~with_i] <= bound[~with_i], axis=1)[None, :]
     values = np.asarray(game.g(i, rates), dtype=float)
     return feas * values[:, None]
 

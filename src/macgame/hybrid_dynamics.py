@@ -19,6 +19,8 @@ marginal value of routing rate share to receiver j; with a strictly concave
 utility this is a congestion field whose unique rest mix is uniform, the
 regime the multi-receiver example actually exhibits. The field is selected
 per run through HybridDynConfig.
+
+The integrated state stacks both blocks into one 2 x N x J array, mix first.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ import numpy as np
 from .capacity import ScenarioError
 from .hybrid_game import (
     HybridScenario,
-    as_alpha,
     as_mix,
     _feasible_unchecked,
-    receiver_capacity,
     receiver_sum_capacities,
+    single_user_caps,
 )
-from .numerics import NumericsError
+from .numerics import IntegratorConfig, integrate, write_csv
 
 FITNESS_FIELDS = ("payoff", "marginal_utility")
 
@@ -58,12 +59,13 @@ class HybridDynConfig:
             raise ScenarioError("theta must be at least 1")
         if not self.mu_bar > 0:
             raise ScenarioError("mu_bar must be positive")
-        if not (self.dt > 0 and self.t_end > 0 and self.dt <= self.t_end):
-            raise ScenarioError("need 0 < dt <= t_end")
-        if self.sample_every < 1:
-            raise ScenarioError("sample_every must be >= 1")
+        self.integrator  # validates dt, t_end and sample_every
         if self.channel_fitness not in FITNESS_FIELDS:
             raise ScenarioError(f"channel_fitness must be one of {FITNESS_FIELDS}")
+
+    @property
+    def integrator(self) -> IntegratorConfig:
+        return IntegratorConfig(self.dt, self.t_end, self.sample_every)
 
 
 @dataclass(frozen=True)
@@ -98,52 +100,46 @@ def channel_fitness(scenario: HybridScenario, alpha: np.ndarray, mix: np.ndarray
     # families are only defined on the nonnegative axis
     beta = np.maximum(alpha[:, None] * mix, 0.0)
     if kind == "payoff":
-        return np.vstack([np.asarray(scenario.g(i, beta[i]), dtype=float)
-                          for i in range(scenario.n_users)])
+        return scenario.g(scenario.users, beta)
     if kind == "marginal_utility":
-        return np.vstack([
-            alpha[i] * np.asarray(scenario.g_deriv(i, np.maximum(beta[i], 1e-15)), dtype=float)
-            for i in range(scenario.n_users)])
+        return alpha[:, None] * scenario.g_deriv(scenario.users, np.maximum(beta, 1e-15))
     raise ScenarioError(f"unknown channel fitness field {kind!r}")
 
 
-def switch_rate(scenario: HybridScenario, i: int, j: int, j_new: int,
-                alpha, mix, cfg: HybridDynConfig) -> float:
-    """Switching weight eta^i_{j -> j_new} = max(0, u_ij_new - u_ij)^theta,
-    zero when the profile violates any receiver region."""
-    a = as_alpha(alpha, scenario.n_users)
-    p = as_mix(mix, scenario.n_users, scenario.n_receivers)
-    if cfg.gate_switching and not _feasible_unchecked(scenario, a, p, tol=1e-9):
-        return 0.0
-    u = channel_fitness(scenario, a, p, cfg.channel_fitness)
-    return float(max(0.0, u[i, j_new] - u[i, j]) ** cfg.theta)
+def _field(scenario: HybridScenario, state: np.ndarray, cfg: HybridDynConfig,
+           gated: bool = True) -> np.ndarray:
+    """Stacked derivative (chi, beta_dot) of a stacked (mix, beta) state.
 
-
-def _smith_field(scenario: HybridScenario, alpha: np.ndarray, mix: np.ndarray,
-                 cfg: HybridDynConfig, gated: bool = True) -> np.ndarray:
+    With gated set and cfg.gate_switching on, chi is zero wherever the
+    static profile (row sums of beta, mix) is infeasible.
+    """
+    mix, beta = state
+    alpha = beta.sum(axis=1)
+    out = np.empty_like(state)
     if gated and cfg.gate_switching \
             and not _feasible_unchecked(scenario, alpha, mix, tol=1e-9):
-        return np.zeros_like(mix)
-    u = channel_fitness(scenario, alpha, mix, cfg.channel_fitness)
-    # eta[i, j, j'] = max(0, u_ij' - u_ij)^theta
-    eta = np.maximum(0.0, u[:, None, :] - u[:, :, None]) ** cfg.theta
-    inflow = np.einsum("ik,ikj->ij", mix, eta)
-    outflow = mix * eta.sum(axis=2)
-    return inflow - outflow
+        out[0] = 0.0
+    else:
+        u = channel_fitness(scenario, alpha, mix, cfg.channel_fitness)
+        # eta[i, j, j'] = max(0, u_ij' - u_ij)^theta
+        eta = np.maximum(0.0, u[:, None, :] - u[:, :, None]) ** cfg.theta
+        out[0] = np.einsum("ik,ikj->ij", mix, eta) - mix * eta.sum(axis=2)
+    loads = (mix * beta).sum(axis=0)
+    out[1] = -cfg.mu_bar * (loads - receiver_sum_capacities(scenario))[None, :] * mix * beta
+    return out
 
 
-def smith_rhs(scenario: HybridScenario, state: HybridState,
-              cfg: HybridDynConfig) -> np.ndarray:
-    """Mix derivative chi; each row sums to zero exactly."""
-    return _smith_field(scenario, state.alpha, state.mix, cfg)
+def hybrid_rhs(scenario: HybridScenario, state: HybridState,
+               cfg: HybridDynConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, beta_dot) at a state: the field simulate_hybrid integrates.
 
-
-def gfunction_rhs(scenario: HybridScenario, state: HybridState,
-                  cfg: HybridDynConfig) -> np.ndarray:
-    """Split-rate derivative of the growth law; zero splits stay zero."""
-    caps = receiver_sum_capacities(scenario)
-    loads = (state.mix * state.beta).sum(axis=0)
-    return -cfg.mu_bar * (loads - caps)[None, :] * state.mix * state.beta
+    Every row of the mix derivative chi sums to zero exactly; zero splits
+    stay zero under the split-rate growth law.
+    """
+    if state.mix.shape != (scenario.n_users, scenario.n_receivers):
+        raise ScenarioError("state shape does not match the scenario")
+    chi, beta_dot = _field(scenario, np.stack((state.mix, state.beta)), cfg)
+    return chi, beta_dot
 
 
 @dataclass
@@ -154,8 +150,8 @@ class HybridTrajectory:
     alphas: np.ndarray         # (samples, N)
     residual_chi: np.ndarray
     residual_beta: np.ndarray
-    max_clip: float
-    max_row_drift: float
+    max_clip: float            # most negative mix or split entry seen before clipping
+    max_row_drift: float       # worst |row sum - 1| of the mix before renormalizing
 
     @property
     def final_state(self) -> HybridState:
@@ -174,16 +170,10 @@ class HybridTrajectory:
         header += [f"beta_{i + 1}{r + 1}" for i in range(n) for r in range(j)]
         header += [f"alpha_{i + 1}" for i in range(n)]
         header += ["residual_chi", "residual_beta"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for s in range(self.times.size):
-                row = [repr(float(self.times[s]))]
-                row += [repr(float(v)) for v in self.mixes[s].ravel()]
-                row += [repr(float(v)) for v in self.betas[s].ravel()]
-                row += [repr(float(v)) for v in self.alphas[s]]
-                row += [repr(float(self.residual_chi[s])),
-                        repr(float(self.residual_beta[s]))]
-                fh.write(",".join(row) + "\n")
+        samples = self.times.size
+        write_csv(path, header, np.column_stack(
+            (self.times, self.mixes.reshape(samples, -1), self.betas.reshape(samples, -1),
+             self.alphas, self.residual_chi, self.residual_beta)))
 
 
 def simulate_hybrid(scenario: HybridScenario, state0: HybridState,
@@ -195,68 +185,37 @@ def simulate_hybrid(scenario: HybridScenario, state0: HybridState,
     1e-6) and splits are clipped at zero. Residual series record the largest
     mix and split derivatives at the sample times.
     """
-    n, nj = scenario.n_users, scenario.n_receivers
-    p = np.array(state0.mix, dtype=float)
-    b = np.array(state0.beta, dtype=float)
-    if p.shape != (n, nj):
+    if state0.mix.shape != (scenario.n_users, scenario.n_receivers):
         raise ScenarioError("state shape does not match the scenario")
-    for i in range(n):
-        for j in range(nj):
-            if b[i, j] > receiver_capacity(scenario, j, 1 << i) + 1e-12:
-                raise ScenarioError(
-                    f"initial split beta[{i},{j}] exceeds the single-user cap")
-    caps = receiver_sum_capacities(scenario)
+    over = np.argwhere(state0.beta > single_user_caps(scenario) + 1e-12)
+    if over.size:
+        i, j = over[0]
+        raise ScenarioError(f"initial split beta[{i},{j}] exceeds the single-user cap")
 
-    def field(pp: np.ndarray, bb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        alpha = bb.sum(axis=1)
-        chi = _smith_field(scenario, alpha, pp, cfg)
-        loads = (pp * bb).sum(axis=0)
-        bdot = -cfg.mu_bar * (loads - caps)[None, :] * pp * bb
-        return chi, bdot
+    def rhs(state: np.ndarray) -> np.ndarray:
+        return _field(scenario, state, cfg)
 
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    times, mixes, betas, alphas, res_chi, res_beta = [], [], [], [], [], []
-    max_clip = 0.0
-    max_drift = 0.0
+    def project(state: np.ndarray) -> tuple[np.ndarray, float, float]:
+        clip = max(-float(state.min()), 0.0)
+        state = np.maximum(state, 0.0)
+        rows = state[0].sum(axis=1, keepdims=True)
+        state[0] /= rows
+        return state, clip, float(np.abs(rows - 1.0).max())
 
-    def record(t: float) -> None:
-        chi, bdot = field(p, b)
-        times.append(t)
-        mixes.append(p.copy())
-        betas.append(b.copy())
-        alphas.append(b.sum(axis=1))
-        res_chi.append(float(np.abs(chi).max()))
-        res_beta.append(float(np.abs(bdot).max()))
+    def sample(state: np.ndarray) -> tuple[np.ndarray, float, float]:
+        chi, bdot = rhs(state)
+        return state.copy(), float(np.abs(chi).max()), float(np.abs(bdot).max())
 
-    record(0.0)
-    dt = cfg.dt
-    for step in range(1, n_steps + 1):
-        k1p, k1b = field(p, b)
-        k2p, k2b = field(p + 0.5 * dt * k1p, b + 0.5 * dt * k1b)
-        k3p, k3b = field(p + 0.5 * dt * k2p, b + 0.5 * dt * k2b)
-        k4p, k4b = field(p + dt * k3p, b + dt * k3b)
-        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        b = b + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        t = step * dt
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(b))):
-            raise NumericsError(f"hybrid integration produced NaN at t={t:.6g}")
-        neg = float(min(p.min(), b.min()))
-        if neg < 0.0:
-            max_clip = max(max_clip, -neg)
-        p = np.maximum(p, 0.0)
-        b = np.maximum(b, 0.0)
-        drift = float(np.abs(p.sum(axis=1) - 1.0).max())
-        max_drift = max(max_drift, drift)
-        if drift > 1e-6:
-            raise NumericsError(f"mix row drift {drift:.3g} at t={t:.6g}")
-        p = p / p.sum(axis=1, keepdims=True)
-        if step % cfg.sample_every == 0 or step == n_steps:
-            record(t)
+    times, samples, max_clip, max_drift = integrate(
+        rhs, np.stack((state0.mix, state0.beta)), cfg.integrator, project, sample,
+        max_drift=1e-6)
+    states, res_chi, res_beta = zip(*samples)
+    states = np.asarray(states)
     return HybridTrajectory(
         times=np.asarray(times),
-        mixes=np.asarray(mixes),
-        betas=np.asarray(betas),
-        alphas=np.asarray(alphas),
+        mixes=states[:, 0],
+        betas=states[:, 1],
+        alphas=states[:, 1].sum(axis=2),
         residual_chi=np.asarray(res_chi),
         residual_beta=np.asarray(res_beta),
         max_clip=max_clip,
@@ -286,7 +245,7 @@ def interior_rest_point_check(scenario: HybridScenario, state: HybridState,
     interior = bool(np.all(p > tol) and np.all(b > tol))
     caps = receiver_sum_capacities(scenario)
     defects = np.abs((p * b).sum(axis=0) - caps)
-    chi = _smith_field(scenario, state.alpha, p, cfg, gated=False)
+    chi = _field(scenario, np.stack((p, b)), cfg, gated=False)[0]
     chi_res = float(np.abs(chi).max())
     passes = interior and bool(np.all(defects <= tol)) and chi_res <= tol
     return RestPointReport(interior, defects, chi_res, passes)

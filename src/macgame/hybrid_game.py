@@ -14,15 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .capacity import ScenarioError, _log_scale, coalitions, coalition_members
+from .capacity import MAX_USERS, ScenarioError, _log_scale, coalition_members, coalition_table
 from .numerics import project_simplex
 from .static_game import UtilitySpec
-
-MAX_USERS = 20
 
 
 @dataclass(frozen=True)
@@ -74,29 +73,54 @@ class HybridScenario:
     def snr_terms(self) -> np.ndarray:
         return self.power * self.gain / self.noise
 
-    def g(self, i: int, x):
+    @property
+    def users(self) -> np.ndarray:
+        """User indices as a column, to broadcast utilities over N x J rates."""
+        return np.arange(self.n_users)[:, None]
+
+    def g(self, i, x):
         return self.utility.value(i, x, self.log_scale)
 
-    def g_deriv(self, i: int, x):
+    def g_deriv(self, i, x):
         return self.utility.deriv(i, x, self.log_scale)
+
+    @cached_property
+    def cap_table(self) -> np.ndarray:
+        """C_{j,Omega} with one row per coalition of the coalition table and
+        one column per receiver."""
+        caps = np.log1p(coalition_table(self.n_users).member @ self.snr_terms) / self.log_scale
+        caps.setflags(write=False)
+        return caps
+
+
+def region_tables(scenario: HybridScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Coalition membership matrix and per-receiver bound table.
+
+    Returns (member, caps) with member of shape (2^N - 1, N) over the
+    nonempty coalition masks in ascending order and caps of shape
+    (2^N - 1, J); a profile is feasible iff member @ beta <= caps + tol for
+    the effective rates beta. Both are cached and read-only.
+    """
+    return coalition_table(scenario.n_users).member, scenario.cap_table
 
 
 def receiver_capacity(scenario: HybridScenario, j: int, omega: int) -> float:
     """C_{j,Omega} = log(1 + sum_{i in Omega} P_ij h_ij / sigma0^2)."""
-    n = scenario.n_users
     if not 0 <= j < scenario.n_receivers:
         raise ScenarioError(f"receiver index {j} out of range")
-    if not 1 <= omega < (1 << n):
+    if not 1 <= omega < (1 << scenario.n_users):
         raise ScenarioError(f"coalition mask {omega} out of range")
-    snr = sum(scenario.snr_terms[i, j] for i in coalition_members(omega, n))
-    return math.log1p(snr) / scenario.log_scale
+    return float(region_tables(scenario)[1][omega - 1, j])
 
 
 def receiver_sum_capacities(scenario: HybridScenario) -> np.ndarray:
     """C_{j,N} for every receiver."""
-    full = (1 << scenario.n_users) - 1
-    return np.array([receiver_capacity(scenario, j, full)
-                     for j in range(scenario.n_receivers)])
+    return region_tables(scenario)[1][-1].copy()
+
+
+def single_user_caps(scenario: HybridScenario) -> np.ndarray:
+    """N x J table of C_{j,{i}}."""
+    return region_tables(scenario)[1][(1 << np.arange(scenario.n_users)) - 1]
 
 
 def hybrid_safe_rate(scenario: HybridScenario, i: int, j: int, omega: int) -> float:
@@ -152,22 +176,6 @@ class HybridProfile:
         return self.alpha[:, None] * self.mix
 
 
-def region_tables(scenario: HybridScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Coalition membership matrix and per-receiver bound table.
-
-    Returns (member, caps) with member of shape (2^N - 1, N) over the
-    nonempty coalition masks in ascending order and caps of shape
-    (2^N - 1, J); a profile is feasible iff member @ beta <= caps + tol for
-    the effective rates beta.
-    """
-    n, nj = scenario.n_users, scenario.n_receivers
-    masks = np.arange(1, 1 << n)
-    member = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    coalition_snr = member @ scenario.snr_terms          # (masks, J)
-    caps = np.log1p(coalition_snr) / scenario.log_scale
-    return member, caps
-
-
 def hybrid_feasible(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> bool:
     """True when every receiver's coalition bounds hold for the effective
     rates: sum_{i in Omega} alpha_i p_ij <= C_{j,Omega} for all j, Omega."""
@@ -214,17 +222,14 @@ def best_response_split(scenario: HybridScenario, i: int, j: int,
     p = np.atleast_2d(np.asarray(others_mix, dtype=float))
     if a.shape != (n,) or p.shape != (n, scenario.n_receivers):
         raise ScenarioError("opponent rates and mix must cover all users; entry i is ignored")
+    member, caps = region_tables(scenario)
     loads = a * p[:, j]
-    active = [k for k in range(n) if k != i and p[k, j] > 0.0]
-    slack = math.inf
-    for r in range(len(active) + 1):
-        for subset in itertools.combinations(active, r):
-            mask = 1 << i
-            load = 0.0
-            for k in subset:
-                mask |= 1 << k
-                load += loads[k]
-            slack = min(slack, receiver_capacity(scenario, j, mask) - load)
+    loads[i] = 0.0
+    idle = p[:, j] <= 0.0
+    idle[i] = False
+    # coalitions of i and opponents active at j
+    rows = (member[:, i] > 0.0) & ~(member[:, idle] > 0.0).any(axis=1)
+    slack = float(np.min(caps[rows, j] - member[rows] @ loads))
     full = (1 << n) - 1
     floor = hybrid_safe_rate(scenario, i, j, full)
     value = max(floor, slack)
@@ -269,10 +274,7 @@ def potential_psi(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> fl
     p = as_mix(mix, scenario.n_users, scenario.n_receivers, tol=max(tol, 1e-9))
     if not _feasible_unchecked(scenario, a, p, tol):
         return -math.inf
-    total = 0.0
-    for i in range(scenario.n_users):
-        total += float(np.sum(p[i] * scenario.g(i, a[i] * p[i])))
-    return total
+    return float(np.sum(p * scenario.g(scenario.users, a[:, None] * p), axis=1).sum())
 
 
 def _simplex_grid(n_receivers: int, resolution: float) -> np.ndarray:
@@ -310,28 +312,23 @@ def is_hybrid_nash(scenario: HybridScenario, alpha, mix, tol: float = 1e-3,
     p = as_mix(mix, scenario.n_users, scenario.n_receivers)
     if not _feasible_unchecked(scenario, a, p, tol=1e-9):
         return HybridNashVerdict(False, gain=math.inf)
-    n, nj = scenario.n_users, scenario.n_receivers
-    simplex = _simplex_grid(nj, dev_resolution)
+    simplex = _simplex_grid(scenario.n_receivers, dev_resolution)
     beta = a[:, None] * p
-    full = (1 << n) - 1
-    for i in range(n):
+    member, caps = region_tables(scenario)
+    rate_his = single_user_caps(scenario).sum(axis=1)
+    for i in range(scenario.n_users):
         current = expected_payoff(scenario, a, p, i)
-        rate_hi = sum(receiver_capacity(scenario, j, 1 << i) for j in range(nj))
-        rates = np.linspace(0.0, rate_hi, rate_points)
+        rates = np.linspace(0.0, rate_his[i], rate_points)
+        # opponents' load and the bound of every coalition containing i
+        with_i = member[:, i] > 0.0
+        others = beta.copy()
+        others[i] = 0.0
+        load = (member[with_i] @ others)[None]             # (1, masks, J)
+        cap = caps[with_i][None] + 1e-12
         best_gain, best_dev = 0.0, None
         for prow in simplex:
             trial_beta = rates[:, None] * prow[None, :]          # (rates, J)
-            ok = np.ones(rates.size, dtype=bool)
-            for mask in coalitions(n):
-                if not mask >> i & 1:
-                    continue
-                load = np.zeros(nj)
-                for k in coalition_members(mask, n):
-                    if k != i:
-                        load += beta[k]
-                for j in range(nj):
-                    cap = receiver_capacity(scenario, j, mask)
-                    ok &= trial_beta[:, j] + load[j] <= cap + 1e-12
+            ok = np.all(trial_beta[:, None, :] + load <= cap, axis=(1, 2))
             if not ok.any():
                 continue
             vals = np.sum(prow[None, :] * scenario.g(i, trial_beta), axis=1)
@@ -349,29 +346,20 @@ def _clip_alpha(scenario: HybridScenario, a: np.ndarray, p: np.ndarray,
                 max_sweeps: int = 200) -> np.ndarray:
     """Clip alpha onto the coupled feasible set for a fixed mix by cyclic
     projection onto the violated half-spaces."""
-    n, nj = scenario.n_users, scenario.n_receivers
+    member, caps = region_tables(scenario)
+    # one half-space per (coalition, receiver): sum_{i in Omega} p_ij x_i <= C_{j,Omega}
+    coef = (member[:, None, :] * p.T[None, :, :]).reshape(-1, scenario.n_users)
+    bound = caps.reshape(-1)
+    norm2 = np.einsum("ki,ki->k", coef, coef)
+    live = norm2 > 0.0
+    coef, bound, norm2 = coef[live], bound[live], norm2[live]
     x = np.maximum(a, 0.0)
-    rows = []
-    caps = []
-    for mask in coalitions(n):
-        members = list(coalition_members(mask, n))
-        for j in range(nj):
-            coef = np.zeros(n)
-            coef[members] = p[members, j]
-            norm2 = float(coef @ coef)
-            if norm2 > 0.0:
-                rows.append((coef, norm2))
-                caps.append(receiver_capacity(scenario, j, mask))
     for _ in range(max_sweeps):
-        worst_v, worst_k = 1e-12, -1
-        for k, (coef, _) in enumerate(rows):
-            v = float(coef @ x) - caps[k]
-            if v > worst_v:
-                worst_v, worst_k = v, k
-        if worst_k < 0:
+        viol = coef @ x - bound
+        k = int(np.argmax(viol))
+        if not viol[k] > 1e-12:
             break
-        coef, norm2 = rows[worst_k]
-        x = np.maximum(x - coef * (worst_v / norm2), 0.0)
+        x = np.maximum(x - coef[k] * (viol[k] / norm2[k]), 0.0)
     return x
 
 
@@ -390,8 +378,7 @@ def solve_cop(scenario: HybridScenario, n_starts: int = 16,
     """
     n, nj = scenario.n_users, scenario.n_receivers
     rng = np.random.default_rng(seed)
-    single_caps = np.array([[receiver_capacity(scenario, j, 1 << i)
-                             for j in range(nj)] for i in range(n)])
+    single_caps = single_user_caps(scenario)
     best_val = -math.inf
     best: Optional[tuple[np.ndarray, np.ndarray]] = None
     for _ in range(n_starts):
@@ -404,14 +391,10 @@ def solve_cop(scenario: HybridScenario, n_starts: int = 16,
         step = 1.0
         for _ in range(max_iter):
             beta = a[:, None] * p
-            gp = np.empty((n, nj))
-            ga = np.empty(n)
-            for i in range(n):
-                # power-family marginal blows up at zero rate; evaluate just inside
-                gprime = np.asarray(scenario.g_deriv(i, np.maximum(beta[i], 1e-12)), dtype=float)
-                gval = np.asarray(scenario.g(i, beta[i]), dtype=float)
-                gp[i] = gval + beta[i] * gprime
-                ga[i] = float(np.sum(p[i] ** 2 * gprime))
+            # power-family marginal blows up at zero rate; evaluate just inside
+            gprime = scenario.g_deriv(scenario.users, np.maximum(beta, 1e-12))
+            gp = scenario.g(scenario.users, beta) + beta * gprime
+            ga = np.sum(p ** 2 * gprime, axis=1)
             improved = False
             trial = step
             for _ in range(50):

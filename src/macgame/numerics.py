@@ -1,16 +1,19 @@
 """Shared deterministic numerical kernels.
 
-Fixed-step RK4 stepping, scalar bisection, Euclidean simplex projection and
-compensated summation. Everything here is pure and bitwise deterministic for
-identical inputs; the dynamics modules rely on that for reproducible runs.
+Fixed-step RK4 stepping, the one integration loop both dynamics run on
+and its trajectory CSV writer, scalar bisection and Euclidean simplex
+projection. Everything here is bitwise deterministic for identical inputs;
+the dynamics modules rely on that for reproducible runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
+
+from .capacity import ScenarioError
 
 
 class NumericsError(RuntimeError):
@@ -24,18 +27,16 @@ class IntegratorConfig:
     dt: float
     t_end: float
     sample_every: int = 1
-    renormalize_rows: bool = True
-    clip_floor: float = 1e-12
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise ScenarioError("dt must be positive")
         if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+            raise ScenarioError("t_end must be positive")
         if self.dt > self.t_end:
-            raise ValueError("dt must not exceed t_end")
+            raise ScenarioError("dt must not exceed t_end")
         if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+            raise ScenarioError("sample_every must be >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -55,6 +56,44 @@ def rk4_step(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: flo
     if not np.all(np.isfinite(out)):
         raise NumericsError("rk4_step produced non-finite state")
     return out
+
+
+def integrate(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
+              config: IntegratorConfig,
+              project: Callable[[np.ndarray], tuple[np.ndarray, float, float]],
+              sample: Callable[[np.ndarray], Any],
+              max_drift: float) -> tuple[list[float], list[Any], float, float]:
+    """Fixed-step RK4 integration with a projection after every step.
+
+    project maps the raw RK4 update to (projected state, clip, drift), and
+    a drift above max_drift aborts with NumericsError. sample is applied to
+    the initial state, to every sample_every-th step and to the last step.
+    Returns the sample times, the samples, and the largest clip and drift
+    seen over the run.
+    """
+    times, samples = [0.0], [sample(state)]
+    worst_clip = worst_drift = 0.0
+    n_steps = config.n_steps
+    for step in range(1, n_steps + 1):
+        t = step * config.dt
+        state, clip, drift = project(rk4_step(rhs, state, config.dt))
+        worst_clip = max(worst_clip, clip)
+        worst_drift = max(worst_drift, drift)
+        if drift > max_drift:
+            raise NumericsError(f"normalization drift {drift:.3g} at t={t:.6g}")
+        if step % config.sample_every == 0 or step == n_steps:
+            times.append(t)
+            samples.append(sample(state))
+    return times, samples, worst_clip, worst_drift
+
+
+def write_csv(path, header: list[str], rows: np.ndarray) -> None:
+    """One header line, then one line per row with every value written as
+    repr(float), so the file reads back bit for bit."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float,
@@ -100,14 +139,3 @@ def project_simplex(row: np.ndarray) -> np.ndarray:
     lam = (1.0 - css[rho]) / (rho + 1.0)
     return np.maximum(v + lam, 0.0)
 
-
-def kahan_sum(values) -> float:
-    """Compensated (Kahan) summation with a fixed left-to-right order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total

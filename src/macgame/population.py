@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .capacity import ScenarioError
-from .numerics import NumericsError, IntegratorConfig
+from .numerics import IntegratorConfig, integrate, write_csv
 from .static_game import StaticGame
 
 PROTOCOL_KINDS = ("bnn", "replicator", "smith")
@@ -132,15 +132,11 @@ class RevisionProtocol:
         if not self.growth > 0:
             raise ScenarioError("growth rate must be positive")
 
-    @property
-    def exponent(self) -> float:
-        return self.theta if self.kind == "smith" else 1.0
-
 
 class PopulationModel:
     """Precomputed fitness kernels for one symmetric game on one grid.
 
-    For two and three users the opponent-feasibility probability nu(D_a) is
+    For up to three users the opponent-feasibility probability nu(D_a) is
     an exact sum over the grid; for four or more users it is a fixed-seed
     Monte Carlo estimate using common uniforms, so it varies smoothly with
     the state and is reproducible.
@@ -157,44 +153,33 @@ class PopulationModel:
         n = game.n_users
         self.sum_capacity = game.region.sum_capacity
         self.g_values = np.asarray(game.g(0, grid.points), dtype=float)
-        pts = grid.points
-        if n == 1:
-            self._kernel = None
-        elif n == 2:
-            self._kernel = self._pair_feasible(pts[:, None], pts[None, :])
-        elif n == 3:
-            self._kernel = self._triple_feasible(
-                pts[:, None, None], pts[None, :, None], pts[None, None, :])
+        if n <= 3:
+            self._kernel = self._grid_feasible()
         else:
-            self._kernel = None
             rng = np.random.default_rng(mc_seed)
             self._mc_uniforms = rng.random((mc_samples, n - 1))
 
-    def _pair_feasible(self, a, b):
-        r = self.game.region
-        return ((a + b <= r.bound(3) + 1e-12)
-                & (a <= r.bound(1) + 1e-12)
-                & (b <= r.bound(2) + 1e-12)).astype(float)
-
-    def _triple_feasible(self, a, b, c):
-        r = self.game.region
-        ok = (a <= r.bound(1) + 1e-12) & (b <= r.bound(2) + 1e-12) & (c <= r.bound(4) + 1e-12)
-        ok &= (a + b <= r.bound(3) + 1e-12) & (a + c <= r.bound(5) + 1e-12) \
-            & (b + c <= r.bound(6) + 1e-12)
-        ok &= a + b + c <= r.bound(7) + 1e-12
-        return ok.astype(float)
+    def _grid_feasible(self) -> np.ndarray:
+        """Feasibility indicator of every grid profile, one axis per user."""
+        n = self.game.n_users
+        region = self.game.region
+        axes = [self.grid.points.reshape((-1,) + (1,) * (n - 1 - k)) for k in range(n)]
+        ok = np.ones((self.grid.n_points,) * n, dtype=bool)
+        for row, bound in zip(region.table.member, region.bounds[1:]):
+            ok &= sum(ax for ax, m in zip(axes, row) if m) <= bound + 1e-12
+        kernel = ok.astype(float)
+        kernel.setflags(write=False)   # returned as is for one user
+        return kernel
 
     def companion_feasibility(self, lam: np.ndarray) -> np.ndarray:
         """nu(D_a) for every grid node a: probability that N-1 independent
         draws from the state keep the profile feasible."""
-        n = self.game.n_users
-        if n == 1:
-            return (self.grid.points <= self.game.region.bound(1) + 1e-12).astype(float)
-        if n == 2:
-            return self._kernel @ lam
-        if n == 3:
-            return np.einsum("abc,b,c->a", self._kernel, lam, lam)
-        return self._companion_feasibility_mc(lam)
+        if self.game.n_users > 3:
+            return self._companion_feasibility_mc(lam)
+        nu = self._kernel
+        for _ in range(self.game.n_users - 1):
+            nu = nu @ lam
+        return nu
 
     def _companion_feasibility_mc(self, lam: np.ndarray) -> np.ndarray:
         cdf = np.cumsum(lam)
@@ -202,15 +187,12 @@ class PopulationModel:
         idx = np.searchsorted(cdf, self._mc_uniforms)
         draws = self.grid.points[idx]  # (samples, n-1)
         region = self.game.region
-        n = self.game.n_users
         nu = np.empty(self.grid.n_points)
-        masks = np.arange(1, 1 << n)
-        member = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
         bounds = region.bounds[1:]
         for k, a in enumerate(self.grid.points):
             profile = np.concatenate(
                 [np.full((draws.shape[0], 1), a), draws], axis=1)
-            sums = profile @ member.T
+            sums = profile @ region.table.member.T
             nu[k] = float(np.mean(np.all(sums <= bounds + 1e-12, axis=1)))
         return nu
 
@@ -230,56 +212,29 @@ def in_mixed_region(mass, model: PopulationModel, tol: float = 1e-9) -> bool:
 
 def fitness_vector(model: PopulationModel, mass) -> np.ndarray:
     """F(a, mu) on every grid node: feasibility-gated payoff times nu(D_a)."""
-    lam = as_state(mass, model.grid.n_points)
-    n = model.game.n_users
-    gate_cap = model.sum_capacity - (n - 1) * float(model.grid.points @ lam)
+    return _fitness(model, as_state(mass, model.grid.n_points))
+
+
+def _fitness(model: PopulationModel, lam: np.ndarray) -> np.ndarray:
+    gate_cap = model.sum_capacity - (model.game.n_users - 1) * float(model.grid.points @ lam)
     gate = (model.grid.points <= gate_cap + 1e-12).astype(float)
     return gate * model.g_values * model.companion_feasibility(lam)
 
 
-def fitness(a: float, mass, model: PopulationModel) -> float:
-    """F(a, mu) at one grid node a."""
-    idx = int(np.argmin(np.abs(model.grid.points - a)))
-    if abs(model.grid.points[idx] - a) > 1e-9 * max(1.0, abs(a)):
-        raise ScenarioError(f"{a} is not a grid node")
-    return float(fitness_vector(model, mass)[idx])
-
-
 def _switch_matrix(protocol: RevisionProtocol, F: np.ndarray) -> np.ndarray:
-    """B[x, a] = switch rate from node x to node a given fitness values F."""
-    if protocol.kind == "bnn":
-        raise ScenarioError("BNN rates are state-weighted; use protocol_rate")
+    """Smith switch rates: B[x, a] = max(F_a - F_x, 0)^theta."""
     gap = np.maximum(F[None, :] - F[:, None], 0.0)
-    return gap ** protocol.exponent
-
-
-def protocol_rate(protocol: RevisionProtocol, x: float, a: float,
-                  mass, model: PopulationModel, tol: float = 1e-9) -> float:
-    """Switch rate beta^x_a(mu) from rate x to rate a, gated to zero outside
-    the mixed capacity region."""
-    lam = as_state(mass, model.grid.n_points)
-    if not in_mixed_region(lam, model, tol):
-        return 0.0
-    F = fitness_vector(model, lam)
-    ix = int(np.argmin(np.abs(model.grid.points - x)))
-    ia = int(np.argmin(np.abs(model.grid.points - a)))
-    if protocol.kind == "bnn":
-        avg = float(lam @ F)
-        return float(max(F[ia] - avg, 0.0))
-    return float(max(F[ia] - F[ix], 0.0) ** protocol.exponent)
+    return gap ** protocol.theta
 
 
 def _rhs_unchecked(lam: np.ndarray, protocol: RevisionProtocol,
                    model: PopulationModel, tol: float) -> np.ndarray:
     """Dynamics field without state validation (used on RK4 stage states,
     which sit slightly off the simplex)."""
-    n = model.game.n_users
     e = float(model.grid.points @ lam)
-    if not -tol <= e <= model.sum_capacity / n + tol:
+    if not -tol <= e <= model.sum_capacity / model.game.n_users + tol:
         return np.zeros_like(lam)
-    gate_cap = model.sum_capacity - (n - 1) * e
-    gate = (model.grid.points <= gate_cap + 1e-12).astype(float)
-    F = gate * model.g_values * model.companion_feasibility(lam)
+    F = _fitness(model, lam)
     # the step is the reference measure of the destination integrals; without
     # it the switch-rate sums grow with the node count and the dynamics'
     # timescale would depend on the discretization
@@ -287,6 +242,11 @@ def _rhs_unchecked(lam: np.ndarray, protocol: RevisionProtocol,
     if protocol.kind == "bnn":
         excess = np.maximum(F - float(lam @ F), 0.0)
         return K * (excess - lam * float(excess.sum()))
+    if protocol.kind == "replicator":
+        # pairwise imitation moves lambda_x lambda_a max(F_a - F_x, 0) from x
+        # to a; the net inflow sums to lambda_a (F_a - lambda.F), so nodes
+        # without mass stay without mass
+        return K * lam * (F - float(lam @ F))
     B = _switch_matrix(protocol, F)
     inflow = lam @ B
     outflow = lam * B.sum(axis=1)
@@ -325,13 +285,8 @@ class PopulationTrajectory:
     def to_csv(self, path) -> None:
         header = ["t"] + [f"mass_{k}" for k in range(self.grid.n_points)] \
             + ["mean_rate", "residual"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for s in range(self.times.size):
-                row = [repr(float(self.times[s]))]
-                row += [repr(float(v)) for v in self.masses[s]]
-                row += [repr(float(self.mean_rates[s])), repr(float(self.residuals[s]))]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, header, np.column_stack(
+            (self.times, self.masses, self.mean_rates, self.residuals)))
 
 
 def simulate(mass0, protocol: RevisionProtocol, model: PopulationModel,
@@ -342,40 +297,22 @@ def simulate(mass0, protocol: RevisionProtocol, model: PopulationModel,
     renormalized; the worst pre-clip negative and pre-normalization drift are
     reported as diagnostics. Blow-up (drift beyond 1e-3) or NaN aborts.
     """
-    from .numerics import rk4_step
-
-    lam = as_state(mass0, model.grid.n_points).copy()
-
     def rhs(x: np.ndarray) -> np.ndarray:
         return _rhs_unchecked(x, protocol, model, tol)
 
-    n_steps = config.n_steps
-    times, masses, means, residuals = [], [], [], []
-    max_clip = 0.0
-    max_drift = 0.0
+    def project(lam: np.ndarray) -> tuple[np.ndarray, float, float]:
+        clip = max(-float(lam.min()), 0.0)
+        lam = np.maximum(lam, 0.0)
+        total = float(lam.sum())
+        return lam / total, clip, abs(total - 1.0)
 
-    def record(t: float) -> None:
-        times.append(t)
-        masses.append(lam.copy())
-        means.append(float(model.grid.points @ lam))
-        residuals.append(float(np.abs(rhs(lam)).max()))
+    def sample(lam: np.ndarray) -> tuple[np.ndarray, float, float]:
+        return lam.copy(), float(model.grid.points @ lam), float(np.abs(rhs(lam)).max())
 
-    record(0.0)
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        lam = rk4_step(rhs, lam, config.dt)
-        neg = float(lam.min())
-        if neg < 0.0:
-            max_clip = max(max_clip, -neg)
-            lam = np.maximum(lam, 0.0)
-        drift = abs(float(lam.sum()) - 1.0)
-        max_drift = max(max_drift, drift)
-        if drift > 1e-3 or not np.all(np.isfinite(lam)):
-            raise NumericsError(f"population integration unstable at t={t + config.dt:.6g}")
-        lam = lam / lam.sum()
-        t = step * config.dt
-        if step % config.sample_every == 0 or step == n_steps:
-            record(t)
+    times, samples, max_clip, max_drift = integrate(
+        rhs, as_state(mass0, model.grid.n_points).copy(), config, project, sample,
+        max_drift=1e-3)
+    masses, means, residuals = zip(*samples)
     return PopulationTrajectory(
         grid=model.grid,
         times=np.asarray(times),

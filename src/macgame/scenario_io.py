@@ -89,6 +89,17 @@ def _broadcast(value, shape) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _check_shape(value, shape: tuple, path: str) -> None:
+    """Reject anything but a numeric array of exactly this shape; nothing is
+    broadcast."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: not a numeric array ({exc})") from exc
+    if arr.shape != shape:
+        raise ScenarioError(f"{path}: shape {arr.shape}, expected {shape}")
+
+
 def parse_scenario(path) -> ScenarioFile:
     """Load and validate a scenario file, filling defaults."""
     raw_text = Path(path).read_text(encoding="utf-8")
@@ -141,6 +152,9 @@ def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
     for other in TASKS:
         if other != task and other in doc:
             raise ScenarioError(f"{path}: block {other!r} does not match task {task!r}")
+    if kind == "hybrid" and task == "simulate":
+        _check_shape(block["mix0"], (n, nj), f"{path}.simulate.mix0")
+        _check_shape(block["alpha0"], (n,), f"{path}.simulate.alpha0")
 
     return ScenarioFile(
         kind=kind,
@@ -377,6 +391,8 @@ def _simulate_hybrid(sf: ScenarioFile, report: RunReport, out_dir: Path) -> None
     report.metrics["chi_residual_final"] = rest.chi_residual
     report.metrics["t_mix_residual_below_tol"] = t_chi
     report.metrics["t_beta_residual_below_tol"] = t_beta
+    report.metrics["max_negative_clip"] = traj.max_clip
+    report.metrics["max_row_drift"] = traj.max_row_drift
     report.verdicts["interior_rest_point"] = rest.passes
     report.verdicts["timescale_separation"] = (
         t_chi is not None and (t_beta is None or t_chi < t_beta))

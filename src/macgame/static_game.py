@@ -10,7 +10,6 @@ reduces to face membership plus a best-reply cross-check.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +24,7 @@ from .capacity import (
     coalition_members,
     coalitions,
     contains,
+    on_max_face,
     safe_rates_full,
     _log_scale,
 )
@@ -42,7 +42,9 @@ class UtilitySpec:
 
     identity: g(x) = x. log1p: g(x) = log(1 + x) in the game's log base.
     power: g(x) = x**gamma with 0 < gamma < 1. Optional positive per-user
-    scale weights multiply the family value.
+    scale weights multiply the family value. The user index i of value,
+    deriv and inv_deriv may be an integer array that broadcasts against x
+    (for instance a column of user indices against an N x J rate array).
     """
 
     family: str = "identity"
@@ -68,12 +70,12 @@ class UtilitySpec:
     def strictly_concave(self) -> bool:
         return self.family in ("log1p", "power")
 
-    def _scale_of(self, i: int) -> float:
+    def _scale_of(self, i):
         if self.scale is None:
             return 1.0
-        return float(self.scale[i])
+        return self.scale[i]
 
-    def value(self, i: int, x, log_scale: float):
+    def value(self, i, x, log_scale: float):
         x = np.asarray(x, dtype=float)
         s = self._scale_of(i)
         if self.family == "identity":
@@ -82,7 +84,7 @@ class UtilitySpec:
             return s * np.log1p(x) / log_scale
         return s * np.power(x, self.gamma)
 
-    def deriv(self, i: int, x, log_scale: float):
+    def deriv(self, i, x, log_scale: float):
         x = np.asarray(x, dtype=float)
         s = self._scale_of(i)
         if self.family == "identity":
@@ -121,15 +123,15 @@ class StaticGame:
     def log_scale(self) -> float:
         return _log_scale(self.scenario.log_base)
 
-    def g(self, i: int, x):
+    def g(self, i, x):
         return self.utility.value(i, x, self.log_scale)
 
-    def g_deriv(self, i: int, x):
+    def g_deriv(self, i, x):
         return self.utility.deriv(i, x, self.log_scale)
 
     def welfare(self, rates) -> float:
         a = as_rates(rates, self.n_users)
-        return float(sum(self.g(i, a[i]) for i in range(self.n_users)))
+        return float(np.sum(self.g(np.arange(self.n_users), a)))
 
 
 def make_game(scenario: SingleReceiverScenario,
@@ -147,10 +149,6 @@ def payoff(game: StaticGame, i: int, rates, tol: float = 0.0) -> float:
     return float(game.g(i, a[i]))
 
 
-def _insert(others: np.ndarray, i: int, value: float) -> np.ndarray:
-    return np.insert(others, i, value)
-
-
 def best_response_info(game: StaticGame, i: int, others) -> tuple[float, bool]:
     """Best-reply rate of user i against fixed opponent rates, with a
     feasibility flag.
@@ -164,14 +162,11 @@ def best_response_info(game: StaticGame, i: int, others) -> tuple[float, bool]:
     others = np.atleast_1d(np.asarray(others, dtype=float))
     if others.shape != (n - 1,):
         raise ScenarioError(f"expected {n - 1} opponent rates, got shape {others.shape}")
-    full_profile = _insert(others, i, 0.0)
+    full_profile = np.insert(others, i, 0.0)
     floor = safe_rates_full(game.scenario)[i]
-    slack = math.inf
-    for mask in coalitions(n):
-        if not mask >> i & 1:
-            continue
-        interferers = sum(full_profile[k] for k in coalition_members(mask, n) if k != i)
-        slack = min(slack, game.region.bound(mask) - interferers)
+    member = game.region.table.member
+    with_i = member[:, i] > 0.0
+    slack = float(np.min(game.region.bounds[1:][with_i] - member[with_i] @ full_profile))
     feasible_completion = slack >= 0.0 and contains(game.region, full_profile, 0.0)
     return max(floor, slack), feasible_completion
 
@@ -185,12 +180,7 @@ def is_nash(game: StaticGame, rates, tol: float = 1e-9) -> bool:
     """Pure Nash test: feasible, sum rate C_N, rates above the floors, and
     every user already plays its best reply (cross-check)."""
     a = as_rates(rates, game.n_users)
-    if not contains(game.region, a, tol):
-        return False
-    if abs(float(a.sum()) - game.region.sum_capacity) > tol:
-        return False
-    floors = safe_rates_full(game.scenario)
-    if np.any(a < floors - tol):
+    if not on_max_face(game.region, game.scenario, a, tol):
         return False
     for i in range(game.n_users):
         br, _ = best_response_info(game, i, np.delete(a, i))
@@ -258,18 +248,14 @@ def _clip_to_region(region: CapacityRegion, a: np.ndarray,
     Repeatedly projects onto the most violated coalition half-space and the
     nonnegative orthant until all constraints hold to 1e-12.
     """
-    n = region.n_users
-    masks = np.arange(1 << n)
-    member = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    sizes = member.sum(axis=1)
+    table = region.table
     x = np.maximum(a, 0.0)
     for _ in range(max_sweeps):
-        sums = member @ x
-        viol = sums[1:] - region.bounds[1:]
-        worst = int(np.argmax(viol)) + 1
-        if viol[worst - 1] <= 1e-12:
+        viol = table.member @ x - region.bounds[1:]
+        worst = int(np.argmax(viol))
+        if viol[worst] <= 1e-12:
             break
-        x = x - member[worst] * (viol[worst - 1] / sizes[worst])
+        x = x - table.member[worst] * (viol[worst] / table.sizes[worst])
         x = np.maximum(x, 0.0)
     return x
 
@@ -294,7 +280,7 @@ def _ascend(game: StaticGame, x0: np.ndarray, on_face: bool,
     val = game.welfare(x)
     step = step0
     for _ in range(max_iter):
-        grad = np.array([game.g_deriv(i, x[i]) for i in range(n)])
+        grad = game.g_deriv(np.arange(n), x)
         improved = False
         trial_step = step
         for _ in range(60):
@@ -334,41 +320,26 @@ def social_optimum(game: StaticGame, seed: int = 0) -> tuple[np.ndarray, float]:
 
 
 def _face_vertices(game: StaticGame) -> list[np.ndarray]:
-    """Vertices of the maximal face polytope by active-set enumeration.
+    """Vertices of the maximal face as successive-cancellation corners.
 
-    A vertex activates the grand-coalition equality plus N-1 further
-    constraints drawn from the remaining coalition bounds and nonnegativity.
+    The coalition bounds are submodular, so the maximal face is the base
+    polytope of a polymatroid and its vertices are the greedy corners: for
+    every decoding order pi, x_{pi(k)} = C_{pi(1..k)} - C_{pi(1..k-1)}.
+    Orders that give the same corner are merged.
     """
     n = game.n_users
     if n > MAX_VERTEX_USERS:
         raise ScenarioError("face vertex enumeration limited to small user counts")
-    region = game.region
-    rows = [np.ones(n)]
-    rhs = [region.sum_capacity]
-    cands: list[tuple[np.ndarray, float]] = []
-    for mask in coalitions(n):
-        if mask == region.full_mask:
-            continue
-        ind = np.array([(mask >> k) & 1 for k in range(n)], dtype=float)
-        cands.append((ind, region.bound(mask)))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        cands.append((e, 0.0))
+    bounds = game.region.bounds
     verts: list[np.ndarray] = []
-    if n == 1:
-        return [np.array([region.sum_capacity])]
-    for combo in itertools.combinations(range(len(cands)), n - 1):
-        mat = np.vstack(rows + [cands[c][0] for c in combo])
-        vec = np.array(rhs + [cands[c][1] for c in combo])
-        if abs(np.linalg.det(mat)) < 1e-12:
-            continue
-        v = np.linalg.solve(mat, vec)
-        if contains(region, np.maximum(v, 0.0), 1e-9) and np.all(v >= -1e-9) \
-                and abs(v.sum() - region.sum_capacity) <= 1e-9:
-            v = np.maximum(v, 0.0)
-            if not any(np.allclose(v, w, atol=1e-9) for w in verts):
-                verts.append(v)
+    for order in itertools.permutations(range(n)):
+        v = np.empty(n)
+        mask = 0
+        for k in order:
+            v[k] = bounds[mask | 1 << k] - bounds[mask]
+            mask |= 1 << k
+        if not any(np.allclose(v, w, atol=1e-9) for w in verts):
+            verts.append(v)
     return verts
 
 

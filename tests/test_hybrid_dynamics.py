@@ -8,11 +8,9 @@ from macgame.hybrid_dynamics import (
     HybridDynConfig,
     HybridState,
     channel_fitness,
-    gfunction_rhs,
+    hybrid_rhs,
     interior_rest_point_check,
     simulate_hybrid,
-    smith_rhs,
-    switch_rate,
 )
 from macgame.hybrid_game import (
     HybridScenario,
@@ -35,26 +33,36 @@ def example_initial_state(scenario):
     return HybridState(mix0, alpha0[:, None] * mix0)
 
 
+def mix_rhs(scenario, alpha, mix, cfg):
+    alpha = np.asarray(alpha, dtype=float)
+    chi, _ = hybrid_rhs(scenario, HybridState(mix, alpha[:, None] * mix), cfg)
+    return chi
+
+
 class TestSwitchRate:
     def test_equal_payoffs_give_zero(self):
         s = example_scenario()
         cfg = HybridDynConfig()
         mix = np.full((2, 3), 1 / 3)
-        assert switch_rate(s, 0, 0, 1, [1.0, 1.0], mix, cfg) == 0.0
+        assert np.all(mix_rhs(s, [1.0, 1.0], mix, cfg) == 0.0)
 
     def test_infeasible_profile_gives_zero(self):
         s = example_scenario()
         cfg = HybridDynConfig()
         mix = np.array([[0.2, 0.3, 0.5], [0.25, 0.5, 0.25]])
-        assert switch_rate(s, 0, 0, 2, [10.0, 20.0], mix, cfg) == 0.0
+        assert np.all(mix_rhs(s, [10.0, 20.0], mix, cfg) == 0.0)
 
     def test_theta_two_squares_the_gap(self):
         s = example_scenario()
         cfg = HybridDynConfig(theta=2.0)
         mix = np.array([[0.2, 0.7, 0.1], [1 / 3, 1 / 3, 1 / 3]])
         alpha = np.array([1.0, 0.1])
-        gap = 1.0 * (0.7 - 0.2)
-        assert switch_rate(s, 0, 0, 1, alpha, mix, cfg) == pytest.approx(gap ** 2, abs=1e-12)
+        # user 0 has payoffs u = mix row; receiver 1 is the best, receiver 2
+        # the worst, so chi_01 = p_00 (0.7 - 0.2)^2 + p_02 (0.7 - 0.1)^2
+        chi = mix_rhs(s, alpha, mix, cfg)
+        assert chi[0, 1] == pytest.approx(0.2 * 0.5 ** 2 + 0.1 * 0.6 ** 2, abs=1e-12)
+        assert chi[0, 2] == pytest.approx(-0.1 * (0.1 ** 2 + 0.6 ** 2), abs=1e-12)
+        assert np.all(chi[1] == 0.0)
 
 
 class TestSmithRhs:
@@ -63,7 +71,7 @@ class TestSmithRhs:
         cfg = HybridDynConfig()
         mix = np.full((2, 3), 1 / 3)
         state = HybridState(mix, np.array([1.0, 0.5])[:, None] * mix)
-        assert np.abs(smith_rhs(s, state, cfg)).max() == 0.0
+        assert np.abs(hybrid_rhs(s, state, cfg)[0]).max() == 0.0
 
     def test_row_sums_vanish(self):
         s = example_scenario()
@@ -72,7 +80,7 @@ class TestSmithRhs:
         for _ in range(25):
             mix = rng.dirichlet(np.ones(3), size=2)
             beta = rng.uniform(0, 1.0, size=(2, 3))
-            chi = smith_rhs(s, HybridState(mix, beta), cfg)
+            chi, _ = hybrid_rhs(s, HybridState(mix, beta), cfg)
             assert np.abs(chi.sum(axis=1)).max() <= 1e-13
 
     def test_fixed_rates_flow_toward_higher_payoff(self):
@@ -82,7 +90,7 @@ class TestSmithRhs:
         alpha = np.array([10.0, 20.0])
         state = HybridState(mix, alpha[:, None] * mix)
         u = channel_fitness(s, alpha, mix, "payoff")
-        chi = smith_rhs(s, state, cfg)
+        chi, _ = hybrid_rhs(s, state, cfg)
         for i in range(2):
             assert chi[i, int(np.argmax(u[i]))] > 0.0
             assert chi[i, int(np.argmin(u[i]))] < 0.0
@@ -96,7 +104,7 @@ class TestSmithRhs:
             beta = rng.uniform(0, 1.0, size=(2, 3))
             state = HybridState(mix, beta)
             u = channel_fitness(s, state.alpha, mix, cfg.channel_fitness)
-            chi = smith_rhs(s, state, cfg)
+            chi, _ = hybrid_rhs(s, state, cfg)
             d = float((chi * u).sum())
             assert d >= -1e-12
             if np.abs(chi).max() > 1e-9:
@@ -107,7 +115,7 @@ class TestSmithRhs:
         cfg = HybridDynConfig()
         profile, _ = solve_cop(s, n_starts=16, seed=0)
         state = HybridState(profile.mix, profile.split_rates)
-        assert np.abs(smith_rhs(s, state, cfg)).max() <= 1e-9
+        assert np.abs(hybrid_rhs(s, state, cfg)[0]).max() <= 1e-9
 
 
 class TestGfunctionRhs:
@@ -116,7 +124,7 @@ class TestGfunctionRhs:
         cfg = HybridDynConfig()
         mix = np.full((2, 3), 1 / 3)
         state = HybridState(mix, np.zeros((2, 3)))
-        assert np.all(gfunction_rhs(s, state, cfg) == 0.0)
+        assert np.all(hybrid_rhs(s, state, cfg)[1] == 0.0)
 
     def test_filled_capacity_is_stationary(self):
         s = example_scenario()
@@ -125,7 +133,7 @@ class TestGfunctionRhs:
         mix = np.full((2, 3), 1 / 3)
         beta = np.vstack([1.5 * caps, 1.5 * caps])  # sum_i p_ij beta_ij = C_j
         state = HybridState(mix, beta)
-        assert np.abs(gfunction_rhs(s, state, cfg)).max() <= 1e-12
+        assert np.abs(hybrid_rhs(s, state, cfg)[1]).max() <= 1e-12
 
     def test_single_user_logistic_solution(self):
         s = HybridScenario(np.array([[1.0]]), np.array([[0.1]]), 0.01)

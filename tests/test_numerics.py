@@ -8,7 +8,6 @@ from macgame.numerics import (
     IntegratorConfig,
     NumericsError,
     bisect,
-    kahan_sum,
     project_simplex,
     rk4_step,
 )
@@ -90,12 +89,6 @@ def test_project_simplex_properties(values):
     # order of coordinates is preserved
     order = np.argsort(values, kind="stable")
     assert np.all(np.diff(out[order]) >= -1e-12)
-
-
-def test_kahan_sum_matches_fsum():
-    rng = np.random.default_rng(3)
-    values = list(rng.uniform(-1, 1, size=5000)) + [1e-12] * 1000
-    assert kahan_sum(values) == pytest.approx(math.fsum(values), abs=1e-12)
 
 
 def test_integrator_config_validation():

@@ -8,12 +8,10 @@ from macgame.population import (
     PopulationModel,
     RevisionProtocol,
     dirac_state,
-    fitness,
     fitness_vector,
     in_mixed_region,
     mean_dynamics_rhs,
     mean_rate,
-    protocol_rate,
     simulate,
     uniform_state,
 )
@@ -112,7 +110,8 @@ class TestFitness:
             and b <= region.bound(0b10) + 1e-12)
         expected = model2.g_values[k] * count / grid.n_points
         gate = a <= model2.sum_capacity - mean_rate(lam, grid) + 1e-12
-        assert fitness(a, lam, model2) == pytest.approx(expected if gate else 0.0, rel=1e-12)
+        assert fitness_vector(model2, lam)[k] == pytest.approx(expected if gate else 0.0,
+                                                               rel=1e-12)
 
     def test_three_user_kernel(self):
         game = sym_game(3)
@@ -179,27 +178,30 @@ class TestFitness:
 
 class TestProtocolRate:
     def test_equal_fitness_gives_zero_rate(self, model2):
+        # at the equilibrium Dirac no node is fitter than the occupied one,
+        # whose switch rate to itself is zero
         lam = dirac_state(model2.grid, model2.sum_capacity / 2)
-        a = model2.grid.points[10]
         for proto in (RevisionProtocol("replicator"), RevisionProtocol("smith", 2.0)):
-            assert protocol_rate(proto, a, a, lam, model2) == 0.0
+            assert np.all(mean_dynamics_rhs(lam, proto, model2) == 0.0)
 
     def test_outside_mixed_region_all_rates_zero(self, model2):
         lam = dirac_state(model2.grid, model2.grid.hi)
-        proto = RevisionProtocol("smith")
-        assert protocol_rate(proto, model2.grid.points[1], model2.grid.points[5],
-                             lam, model2) == 0.0
-        assert np.all(mean_dynamics_rhs(lam, proto, model2) == 0.0)
+        for proto in (RevisionProtocol("smith"), RevisionProtocol("bnn"),
+                      RevisionProtocol("replicator")):
+            assert np.all(mean_dynamics_rhs(lam, proto, model2) == 0.0)
 
     def test_bnn_positive_above_average(self, model2):
         lam = uniform_state(model2.grid)
         F = fitness_vector(model2, lam)
         avg = float(lam @ F)
+        excess = np.maximum(F - avg, 0.0)
         k = int(np.argmax(F))
-        rate = protocol_rate(RevisionProtocol("bnn"), model2.grid.points[0],
-                             model2.grid.points[k], lam, model2)
-        assert rate == pytest.approx(F[k] - avg, rel=1e-12)
-        assert rate > 0.0
+        assert excess[k] > 0.0
+        # BNN field: K * (excess_a - lambda_a * sum_x excess_x) with K = growth * step
+        rhs = mean_dynamics_rhs(lam, RevisionProtocol("bnn"), model2)
+        expected = model2.grid.step * (excess - lam * excess.sum())
+        assert rhs == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert rhs[k] > 0.0
 
     def test_protocol_validation(self):
         with pytest.raises(ScenarioError):
@@ -261,6 +263,19 @@ class TestSimulate:
         assert abs(traj.mean_rates[-1] - r_star) <= 0.01 * model2.sum_capacity
         assert traj.max_drift <= 1e-8
         assert np.all(traj.masses >= 0.0)
+
+    def test_replicator_keeps_empty_nodes_empty(self):
+        game = sym_game(2)
+        grid = ActionGrid.for_game(game, 101)
+        model = PopulationModel(game, grid)
+        for start in (0, 1):
+            lam0 = np.zeros(grid.n_points)
+            lam0[start::2] = 1.0
+            lam0 /= lam0.sum()
+            traj = simulate(lam0, RevisionProtocol("replicator"), model,
+                            IntegratorConfig(dt=0.01, t_end=2.0, sample_every=50))
+            assert np.all(traj.masses[:, lam0 == 0.0] == 0.0)
+            assert np.any(traj.masses[-1] != lam0)
 
     def test_grid_refinement_agrees(self):
         game = sym_game(2)

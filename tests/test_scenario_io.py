@@ -227,6 +227,23 @@ class TestCli:
         p2 = write(tmp_path, "s2.json", doc)
         assert main(["analyze", str(p1), str(p2)]) == 0
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("single_receiver", "dt", -1),
+        ("hybrid", "dt", -1),
+        ("hybrid", "mix0", [[0.2, 0.3, 0.5]]),
+        ("hybrid", "alpha0", [0.2]),
+    ])
+    def test_bad_simulate_input_exit_two(self, tmp_path, capsys, kind, key, value):
+        if kind == "hybrid":
+            doc = json.loads(json.dumps(HYBRID_EXAMPLE))
+        else:
+            doc = dict(MINIMAL_SINGLE, task="simulate",
+                       simulate={"grid_points": 21, "dt": 0.01, "t_end": 0.1})
+        doc["simulate"][key] = value
+        path = write(tmp_path, "bad.json", doc)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_log_base_override(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", MINIMAL_SINGLE)
         assert main(["analyze", str(path), "--log-base", "e"]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -227,7 +228,41 @@ class TestEfficiencyMetrics:
         assert m["spoa"] == pytest.approx(expected_worst / opt, rel=1e-9)
 
 
+def active_set_vertices(game):
+    """Reference maximal-face vertices: solve every system of the
+    grand-coalition equality plus N-1 active coalition or nonnegativity
+    constraints and keep the feasible solutions."""
+    n = game.n_users
+    region = game.region
+    cands = [(np.array([(mask >> k) & 1 for k in range(n)], dtype=float), region.bound(mask))
+             for mask in range(1, region.full_mask)]
+    cands += [(np.eye(n)[k], 0.0) for k in range(n)]
+    verts = []
+    for combo in itertools.combinations(cands, n - 1):
+        mat = np.vstack([np.ones(n)] + [row for row, _ in combo])
+        if abs(np.linalg.det(mat)) < 1e-12:
+            continue
+        v = np.linalg.solve(mat, np.array([region.sum_capacity] + [b for _, b in combo]))
+        if np.all(v >= -1e-9) and contains(region, np.maximum(v, 0.0), 1e-9):
+            v = np.maximum(v, 0.0)
+            if not any(np.allclose(v, w, atol=1e-9) for w in verts):
+                verts.append(v)
+    return verts
+
+
 class TestFaceVertices:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_greedy_corners_match_active_set_enumeration(self, n):
+        from macgame.static_game import _face_vertices
+        rng = np.random.default_rng(40 + n)
+        s = SingleReceiverScenario(rng.uniform(2.0, 40.0, n), rng.uniform(0.3, 1.5, n), 0.4)
+        g = make_game(s, UtilitySpec("log1p"))
+        fast = _face_vertices(g)
+        slow = active_set_vertices(g)
+        assert len(fast) == len(slow) == math.factorial(n)
+        for v in fast:
+            assert any(np.allclose(v, w, rtol=0.0, atol=1e-9) for w in slow)
+
     def test_worst_vertex_matches_face_grid_minimum(self):
         s = SingleReceiverScenario(np.array([12.0, 30.0, 4.0]),
                                    np.array([1.0, 0.7, 1.5]), 0.4)
