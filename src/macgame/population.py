@@ -7,9 +7,10 @@ payoff when N-1 opponents draw rates independently from mu, which factors as
     F(a, mu) = 1[a <= C_N - (N-1) E(mu)] * g(a) * nu(D_a)
 
 where nu(D_a) is the probability that the sampled opponents keep the joint
-profile inside the capacity region. Revision protocols (BNN, replicator,
-theta-Smith) turn fitness comparisons into switch rates, whose inflow minus
-outflow drives the mass dynamics; total mass is conserved exactly.
+profile inside the capacity region, exact for every user count. Revision
+protocols (BNN, replicator, theta-Smith) turn fitness comparisons into switch
+rates, whose inflow minus outflow drives the mass dynamics; total mass is
+conserved exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .static_game import StaticGame
 
 PROTOCOL_KINDS = ("bnn", "replicator", "smith")
 
-MC_SEED = 0xC0FFEE
-MC_SAMPLES = 100_000
+#: enumeration guard on the G^(N-1) companion table, like capacity.MAX_USERS
+MAX_TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -134,67 +135,65 @@ class RevisionProtocol:
 
 
 class PopulationModel:
-    """Precomputed fitness kernels for one symmetric game on one grid.
+    """Precomputed fitness kernel for one symmetric game on one grid.
 
-    For up to three users the opponent-feasibility probability nu(D_a) is
-    an exact sum over the grid; for four or more users it is a fixed-seed
-    Monte Carlo estimate using common uniforms, so it varies smoothly with
-    the state and is reproducible.
+    The region is a symmetric polymatroid: a profile is feasible exactly when,
+    for every k, its k largest rates sum to at most C_k (Tse & Hanly, IEEE
+    Trans. IT 1998). The feasible rates of the last of N-1 companions are
+    then a prefix of the grid, whose length is tabulated once for every node
+    a and every N-2 other companions, so nu(D_a) is exact for every user
+    count. A table over MAX_TABLE_ENTRIES entries is rejected.
     """
 
-    def __init__(self, game: StaticGame, grid: ActionGrid,
-                 mc_samples: int = MC_SAMPLES, mc_seed: int = MC_SEED):
+    def __init__(self, game: StaticGame, grid: ActionGrid):
         if not game.scenario.is_symmetric():
             raise ScenarioError("population dynamics require a symmetric scenario")
         if game.utility.scale is not None and np.ptp(game.utility.scale) != 0.0:
             raise ScenarioError("population dynamics require a shared utility")
+        n, g = game.n_users, grid.n_points
+        if g ** max(n - 1, 1) > MAX_TABLE_ENTRIES:
+            raise ScenarioError(f"users={n} with grid_points={g} needs a companion table "
+                                f"of {g}^{max(n - 1, 1)} entries, over the cap of "
+                                f"{MAX_TABLE_ENTRIES}")
         self.game = game
         self.grid = grid
-        n = game.n_users
         self.sum_capacity = game.region.sum_capacity
         self.g_values = np.asarray(game.g(0, grid.points), dtype=float)
-        if n <= 3:
-            self._kernel = self._grid_feasible()
-        else:
-            rng = np.random.default_rng(mc_seed)
-            self._mc_uniforms = rng.random((mc_samples, n - 1))
-
-    def _grid_feasible(self) -> np.ndarray:
-        """Feasibility indicator of every grid profile, one axis per user."""
-        n = self.game.n_users
-        region = self.game.region
-        axes = [self.grid.points.reshape((-1,) + (1,) * (n - 1 - k)) for k in range(n)]
-        ok = np.ones((self.grid.n_points,) * n, dtype=bool)
-        for row, bound in zip(region.table.member, region.bounds[1:]):
-            ok &= sum(ax for ax, m in zip(axes, row) if m) <= bound + 1e-12
-        kernel = ok.astype(float)
-        kernel.setflags(write=False)   # returned as is for one user
-        return kernel
+        self._counts = _companion_counts(game.region, grid.points)
+        self._counts.setflags(write=False)
 
     def companion_feasibility(self, lam: np.ndarray) -> np.ndarray:
         """nu(D_a) for every grid node a: probability that N-1 independent
         draws from the state keep the profile feasible."""
-        if self.game.n_users > 3:
-            return self._companion_feasibility_mc(lam)
-        nu = self._kernel
-        for _ in range(self.game.n_users - 1):
+        if self.game.n_users == 1:
+            return self._counts.astype(float)
+        nu = np.concatenate(([0.0], np.cumsum(lam)))[self._counts]
+        for _ in range(self.game.n_users - 2):
             nu = nu @ lam
         return nu
 
-    def _companion_feasibility_mc(self, lam: np.ndarray) -> np.ndarray:
-        cdf = np.cumsum(lam)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, self._mc_uniforms)
-        draws = self.grid.points[idx]  # (samples, n-1)
-        region = self.game.region
-        nu = np.empty(self.grid.n_points)
-        bounds = region.bounds[1:]
-        for k, a in enumerate(self.grid.points):
-            profile = np.concatenate(
-                [np.full((draws.shape[0], 1), a), draws], axis=1)
-            sums = profile @ region.table.member.T
-            nu[k] = float(np.mean(np.all(sums <= bounds + 1e-12, axis=1)))
-        return nu
+
+def _companion_counts(region, points: np.ndarray) -> np.ndarray:
+    """counts[a, x_1..x_{N-2}]: how many grid nodes y keep (a, x_1.., y)
+    feasible, 0 when (a, x_1..) is not; for one user, 1[a is feasible].
+    With the fixed rates sorted descending and prefix sums S_k, adding y
+    makes the top-k sums max(S_k, S_{k-1} + y). C_k is the smallest bound of
+    size k (a size class can differ by an ulp), with the 1e-12 slack."""
+    n, g = region.n_users, points.size
+    ck = np.array([region.bounds[1:][region.table.sizes == k].min()
+                   for k in range(1, n + 1)]) + 1e-12
+    if n == 1:
+        return (points <= ck[0]).astype(np.intp)
+    # grid indices sort as the rates do
+    idx = np.sort(np.indices((g,) * (n - 1)).reshape(n - 1, -1), axis=0)[::-1]
+    top, room = np.zeros(idx.shape[1]), np.full(idx.shape[1], ck[0])
+    ok = np.ones(idx.shape[1], dtype=bool)
+    for k in range(1, n):
+        top += points[idx[k - 1]]
+        ok &= top <= ck[k - 1]
+        room = np.minimum(room, ck[k] - top)
+    counts = np.where(ok, np.searchsorted(points, room, side="right"), 0)
+    return counts.reshape((g,) * (n - 1))
 
 
 def mean_rate(mass, grid: ActionGrid) -> float:

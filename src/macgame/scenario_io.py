@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,22 +83,38 @@ _HYBRID_BLOCKS = {
 }
 
 
-def _broadcast(value, shape) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    return arr.reshape(shape)
-
-
-def _check_shape(value, shape: tuple, path: str) -> None:
-    """Reject anything but a numeric array of exactly this shape; nothing is
-    broadcast."""
+def _check_shape(value, shape: tuple, path: str, scalar_ok: bool = False) -> np.ndarray:
+    """A finite numeric array of exactly this shape; a scalar fills the shape
+    only where scalar_ok says so."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{path}: not a numeric array ({exc})") from exc
+    if scalar_ok and arr.ndim == 0:
+        arr = np.full(shape, float(arr))
     if arr.shape != shape:
         raise ScenarioError(f"{path}: shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{path}: entries must be finite")
+    return arr
+
+
+def _integer(doc: dict, key: str, path: str, minimum: int = 1, default=None) -> int:
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"{path}.{key}: must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _finite(doc: dict, key: str, path: str, default=None) -> float:
+    value = doc.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, (bool, str)) or not math.isfinite(number):
+        raise ScenarioError(f"{path}.{key}: must be a finite number, got {value!r}")
+    return number
 
 
 def parse_scenario(path) -> ScenarioFile:
@@ -124,23 +141,21 @@ def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
     if kind == "single_receiver":
         allowed = _COMMON | set(TASKS)
         _expect(doc, path, allowed, {"kind", "task", "users", "power", "gain", "noise"})
-        n = int(doc["users"])
-        if n < 1:
-            raise ScenarioError(f"{path}: users must be positive")
+        n = _integer(doc, "users", path)
         scenario = SingleReceiverScenario(
-            _broadcast(doc["power"], (n,)), _broadcast(doc["gain"], (n,)),
-            float(doc["noise"]), doc.get("log_base", "2"))
+            _check_shape(doc["power"], (n,), f"{path}.power", scalar_ok=True),
+            _check_shape(doc["gain"], (n,), f"{path}.gain", scalar_ok=True),
+            _finite(doc, "noise", path), doc.get("log_base", "2"))
         block_spec = _SINGLE_BLOCKS[task]
     else:
         allowed = _COMMON | {"receivers"} | set(TASKS)
         _expect(doc, path, allowed,
                 {"kind", "task", "users", "receivers", "power", "gain", "noise"})
-        n, nj = int(doc["users"]), int(doc["receivers"])
-        if n < 1 or nj < 1:
-            raise ScenarioError(f"{path}: users and receivers must be positive")
+        n, nj = _integer(doc, "users", path), _integer(doc, "receivers", path)
         scenario = HybridScenario(
-            _broadcast(doc["power"], (n, nj)), _broadcast(doc["gain"], (n, nj)),
-            float(doc["noise"]), doc.get("log_base", "2"),
+            _check_shape(doc["power"], (n, nj), f"{path}.power", scalar_ok=True),
+            _check_shape(doc["gain"], (n, nj), f"{path}.gain", scalar_ok=True),
+            _finite(doc, "noise", path), doc.get("log_base", "2"),
             _utility_from(doc.get("utility"), f"{path}.utility"))
         block_spec = _HYBRID_BLOCKS[task]
 
@@ -161,8 +176,8 @@ def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
         task=task,
         scenario=scenario,
         utility=utility,
-        seed=int(doc.get("seed", 0)),
-        tol=float(doc.get("tol", 1e-9)),
+        seed=_integer(doc, "seed", path, minimum=0, default=0),
+        tol=_finite(doc, "tol", path, default=1e-9),
         block=block,
         canonical=doc,
     )

@@ -143,7 +143,7 @@ class TestFitness:
     def test_monte_carlo_estimate_matches_exact_enumeration(self):
         game = sym_game(4, ph=5.0, noise=0.5)
         grid = ActionGrid.for_game(game, 21)
-        model = PopulationModel(game, grid, mc_samples=100_000)
+        model = PopulationModel(game, grid)
         # two-point state: nu is an exact sum over 2^3 companion combinations
         lam = np.zeros(grid.n_points)
         i1, i2 = 4, 12
@@ -159,21 +159,42 @@ class TestFitness:
                 prof = np.array([grid.points[k]] + [grid.points[c] for c in combo])
                 if contains(region, prof, 1e-12):
                     exact += w
-            assert nu_mc[k] == pytest.approx(exact, abs=6e-3)
+            assert nu_mc[k] == pytest.approx(exact, abs=1e-12)
 
     def test_monte_carlo_path_is_deterministic(self):
         game = sym_game(4, ph=5.0, noise=0.5)
         grid = ActionGrid.for_game(game, 21)
-        model = PopulationModel(game, grid, mc_samples=20_000)
+        model = PopulationModel(game, grid)
         lam = uniform_state(grid)
         f1 = fitness_vector(model, lam)
         f2 = fitness_vector(model, lam)
         assert np.array_equal(f1, f2)
         assert np.all(f1 >= 0.0)
         assert np.all(f1 <= model.g_values + 1e-12)
-        # all-zero companions make the estimate exact
+        # all-zero companions keep every node of [0, C_1] feasible
         exact = fitness_vector(model, dirac_state(grid, 0.0))
         assert np.allclose(exact, model.g_values, atol=1e-12)
+
+    @pytest.mark.parametrize("anchor", [False, True])
+    @pytest.mark.parametrize("n, n_points", [(1, 9), (2, 9), (3, 8), (4, 7), (5, 6)])
+    def test_companion_feasibility_is_exact(self, n, n_points, anchor):
+        from itertools import product as iproduct
+        from macgame.capacity import contains
+        game = sym_game(n, ph=5.0, noise=0.5)
+        grid = ActionGrid.for_game(game, n_points, include_equilibrium=anchor)
+        lam = np.random.default_rng(n).dirichlet(np.ones(grid.n_points))
+        nu = PopulationModel(game, grid).companion_feasibility(lam)
+        pts = grid.points
+        for k, a in enumerate(pts):
+            exact = sum(np.prod(lam[list(combo)])
+                        for combo in iproduct(range(grid.n_points), repeat=n - 1)
+                        if contains(game.region, [a] + [pts[c] for c in combo], 1e-12))
+            assert nu[k] == pytest.approx(exact, abs=1e-12)
+
+    def test_companion_table_over_the_cap_is_rejected(self):
+        game = sym_game(6)
+        with pytest.raises(ScenarioError, match="users=6.*grid_points=101"):
+            PopulationModel(game, ActionGrid.for_game(game, 101))
 
 
 class TestProtocolRate:

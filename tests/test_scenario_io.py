@@ -232,6 +232,22 @@ class TestCli:
         ("hybrid", "dt", -1),
         ("hybrid", "mix0", [[0.2, 0.3, 0.5]]),
         ("hybrid", "alpha0", [0.2]),
+        ("hybrid", "power", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        ("hybrid", "power", [1.0, 1.0, 1.0]),
+        ("hybrid", "gain", [[0.1, 0.2, 0.3]]),
+        ("single_receiver", "power", [25.0, 25.0]),
+        ("single_receiver", "gain", [[1.0], [1.0], [1.0]]),
+        ("single_receiver", "users", "abc"),
+        ("single_receiver", "users", 2.7),
+        ("single_receiver", "users", True),
+        ("single_receiver", "users", 0),
+        ("hybrid", "receivers", "3"),
+        ("hybrid", "receivers", 0),
+        ("single_receiver", "noise", float("nan")),
+        ("hybrid", "noise", float("inf")),
+        ("single_receiver", "noise", 10 ** 400),
+        ("single_receiver", "tol", float("nan")),
+        ("single_receiver", "seed", -1),
     ])
     def test_bad_simulate_input_exit_two(self, tmp_path, capsys, kind, key, value):
         if kind == "hybrid":
@@ -239,10 +255,18 @@ class TestCli:
         else:
             doc = dict(MINIMAL_SINGLE, task="simulate",
                        simulate={"grid_points": 21, "dt": 0.01, "t_end": 0.1})
-        doc["simulate"][key] = value
+        (doc["simulate"] if key in doc["simulate"] else doc)[key] = value
         path = write(tmp_path, "bad.json", doc)
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_companion_table_over_the_cap_exit_two(self, tmp_path, capsys):
+        doc = dict(MINIMAL_SINGLE, task="simulate", users=6,
+                   simulate={"grid_points": 101, "dt": 0.01, "t_end": 0.1})
+        path = write(tmp_path, "big.json", doc)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "users=6" in err and "grid_points=101" in err
 
     def test_log_base_override(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", MINIMAL_SINGLE)
