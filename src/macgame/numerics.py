@@ -100,9 +100,11 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
            tol: float = 1e-12, max_iter: int = 200) -> float:
     """Root of a monotone scalar function by bisection.
 
-    Requires f(lo) and f(hi) to bracket zero. Stops when |f(mid)| <= tol or
-    the bracket width falls below tol; iteration count is bounded by
-    ceil(log2((hi - lo) / tol)) plus a small constant.
+    Requires f(lo) and f(hi) to bracket zero. Stops when |f(mid)| <= tol,
+    when the bracket width falls below tol, or when no float lies strictly
+    inside the bracket; iteration count is bounded by
+    ceil(log2((hi - lo) / tol)) plus a small constant. Raises NumericsError
+    if max_iter halvings end without meeting any of these.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -114,13 +116,13 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
-        if abs(fmid) <= tol or (hi - lo) <= tol:
+        if abs(fmid) <= tol or (hi - lo) <= tol or mid in (lo, hi):
             return mid
         if flo * fmid <= 0.0:
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    raise NumericsError(f"bisect: no convergence in {max_iter} iterations on [{lo}, {hi}]")
 
 
 def project_simplex(row: np.ndarray) -> np.ndarray:

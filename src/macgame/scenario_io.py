@@ -55,7 +55,7 @@ class ScenarioFile:
     utility: UtilitySpec
     seed: int
     tol: float
-    block: dict          # the task-specific block, already validated
+    block: dict          # the task-specific block, validated, settings filled in
     canonical: dict      # canonical form for digesting / round-trips
 
     @property
@@ -67,19 +67,26 @@ class ScenarioFile:
 _COMMON = {"kind", "task", "users", "power", "gain", "noise",
            "log_base", "utility", "seed", "tol"}
 
+# Task blocks: (settings with their defaults, other allowed keys, required
+# keys). parse_doc reads every setting once, by the type of its default: a
+# bool must be a JSON boolean, an int an integer >= 1, a float a finite
+# number. The run helpers read the checked values from ScenarioFile.block.
 _SINGLE_BLOCKS = {
-    "analyze": ({"tau"}, set()),
-    "simulate": ({"grid_points", "protocol", "theta", "growth", "dt", "t_end",
-                  "sample_every", "initial", "anchor_equilibrium"}, set()),
-    "verify": ({"device", "dev_points", "cce_tol", "profile", "nash_tol"}, set()),
+    "analyze": ({}, {"tau"}, set()),
+    "simulate": ({"grid_points": 101, "theta": 1.0, "growth": 1.0, "dt": 1e-2,
+                  "t_end": 100.0, "sample_every": 100, "anchor_equilibrium": False},
+                 {"protocol", "initial"}, set()),
+    "verify": ({"dev_points": 501, "cce_tol": 1e-6, "nash_tol": 1e-9},
+               {"device", "profile"}, set()),
 }
 
 _HYBRID_BLOCKS = {
-    "analyze": ({"n_starts", "dev_resolution", "nash_tol"}, set()),
-    "simulate": ({"mix0", "alpha0", "mu_bar", "theta", "dt", "t_end",
-                  "sample_every", "channel_fitness", "rest_tol", "nash_tol",
-                  "dev_resolution", "gate_switching"}, {"mix0", "alpha0"}),
-    "verify": ({"profile", "nash_tol", "dev_resolution"}, {"profile"}),
+    "analyze": ({"n_starts": 16, "dev_resolution": 0.05, "nash_tol": 1e-3}, set(), set()),
+    "simulate": ({"mu_bar": 0.9, "theta": 1.0, "dt": 1e-3, "t_end": 10.0,
+                  "sample_every": 10, "rest_tol": 1e-3, "nash_tol": 1e-3,
+                  "dev_resolution": 0.05, "gate_switching": True},
+                 {"mix0", "alpha0", "channel_fitness"}, {"mix0", "alpha0"}),
+    "verify": ({"nash_tol": 1e-3, "dev_resolution": 0.02}, {"profile"}, {"profile"}),
 }
 
 
@@ -115,6 +122,15 @@ def _finite(doc: dict, key: str, path: str, default=None) -> float:
     if isinstance(value, (bool, str)) or not math.isfinite(number):
         raise ScenarioError(f"{path}.{key}: must be a finite number, got {value!r}")
     return number
+
+
+def _setting(block: dict, key: str, path: str, default):
+    if not isinstance(default, bool):
+        return (_integer if isinstance(default, int) else _finite)(block, key, path, default=default)
+    value = block.get(key, default)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}.{key}: must be true or false, got {value!r}")
+    return value
 
 
 def parse_scenario(path) -> ScenarioFile:
@@ -163,13 +179,22 @@ def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
     block = doc.get(task, {})
     if not isinstance(block, dict):
         raise ScenarioError(f"{path}.{task}: must be an object")
-    _expect(block, f"{path}.{task}", *block_spec)
+    settings, others, required = block_spec
+    _expect(block, f"{path}.{task}", set(settings) | others, required)
     for other in TASKS:
         if other != task and other in doc:
             raise ScenarioError(f"{path}: block {other!r} does not match task {task!r}")
+    block = dict(block, **{key: _setting(block, key, f"{path}.{task}", default)
+                           for key, default in settings.items()})
     if kind == "hybrid" and task == "simulate":
         _check_shape(block["mix0"], (n, nj), f"{path}.simulate.mix0")
         _check_shape(block["alpha0"], (n,), f"{path}.simulate.alpha0")
+    tau = block.get("tau")
+    if tau is not None and np.any(_check_shape(tau, (n,), f"{path}.analyze.tau") <= 0):
+        raise ScenarioError(f"{path}.analyze.tau: entries must be positive")
+    initial = block.get("initial")
+    if isinstance(initial, dict) and "dirac_at" in initial:
+        block["initial"] = {"dirac_at": _finite(initial, "dirac_at", f"{path}.simulate.initial")}
 
     return ScenarioFile(
         kind=kind,
@@ -276,7 +301,7 @@ def _analyze_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> No
     metrics = static_game.efficiency_metrics(game)
     report.metrics["spoa"] = metrics["spoa"]
     report.metrics["pos"] = metrics["pos"]
-    _, opt_val = static_game.social_optimum(game, seed=sf.seed)
+    _, opt_val = static_game.social_optimum(game)
     report.metrics["social_optimum"] = opt_val
     if sf.scenario.is_symmetric() and (game.utility.scale is None
                                        or np.ptp(game.utility.scale) == 0.0):
@@ -294,23 +319,20 @@ def _simulate_single(sf: ScenarioFile, game: StaticGame, report: RunReport,
                      out_dir: Path) -> None:
     blk = sf.block
     grid = population.ActionGrid.for_game(
-        game, int(blk.get("grid_points", 101)),
-        include_equilibrium=bool(blk.get("anchor_equilibrium", False)))
+        game, blk["grid_points"], include_equilibrium=blk["anchor_equilibrium"])
     model = population.PopulationModel(game, grid)
     protocol = population.RevisionProtocol(
-        blk.get("protocol", "smith"), float(blk.get("theta", 1.0)),
-        float(blk.get("growth", 1.0)))
+        blk.get("protocol", "smith"), blk["theta"], blk["growth"])
     initial = blk.get("initial", "uniform")
     if initial == "uniform":
         mass0 = population.uniform_state(grid)
     elif isinstance(initial, dict) and "dirac_at" in initial:
-        mass0 = population.dirac_state(grid, float(initial["dirac_at"]))
+        mass0 = population.dirac_state(grid, initial["dirac_at"])
     elif isinstance(initial, dict) and "masses" in initial:
         mass0 = population.as_state(np.asarray(initial["masses"], float), grid.n_points)
     else:
         raise ScenarioError("simulate.initial must be 'uniform', {'dirac_at': x} or {'masses': [...]} ")
-    config = IntegratorConfig(float(blk.get("dt", 1e-2)), float(blk.get("t_end", 100.0)),
-                              int(blk.get("sample_every", 100)))
+    config = IntegratorConfig(blk["dt"], blk["t_end"], blk["sample_every"])
     traj = population.simulate(mass0, protocol, model, config, tol=sf.tol)
     csv_path = out_dir / "population.csv"
     traj.to_csv(csv_path)
@@ -330,16 +352,14 @@ def _verify_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> Non
     blk = sf.block
     if "profile" in blk:
         prof = np.asarray(blk["profile"], float)
-        ok = static_game.is_nash(game, prof, float(blk.get("nash_tol", 1e-9)))
+        ok = static_game.is_nash(game, prof, blk["nash_tol"])
         report.verdicts["profile_is_nash"] = ok
     if "device" in blk:
         dev_blk = blk["device"]
         _expect(dev_blk, "verify.device", {"profiles", "weights"}, {"profiles", "weights"})
         device = correlated.CorrelatedDevice(
             np.asarray(dev_blk["profiles"], float), np.asarray(dev_blk["weights"], float))
-        verdict = correlated.is_cce(device, game,
-                                    int(blk.get("dev_points", 501)),
-                                    float(blk.get("cce_tol", 1e-6)))
+        verdict = correlated.is_cce(device, game, blk["dev_points"], blk["cce_tol"])
         report.verdicts["device_is_cce"] = verdict.ok
         if verdict.witness is not None:
             w = verdict.witness
@@ -360,14 +380,12 @@ def _analyze_hybrid(sf: ScenarioFile, report: RunReport) -> None:
                         for mask in coalitions(n)]}
             for j in range(scenario.n_receivers)]
     report.metrics["receiver_capacities"] = caps
-    profile, value = hybrid_game.solve_cop(
-        scenario, int(blk.get("n_starts", 16)), seed=sf.seed)
+    profile, value = hybrid_game.solve_cop(scenario, blk["n_starts"], seed=sf.seed)
     report.metrics["potential_value"] = value
     report.metrics["alpha"] = profile.alpha
     report.metrics["mix"] = profile.mix
     verdict = hybrid_game.is_hybrid_nash(
-        scenario, profile.alpha, profile.mix,
-        float(blk.get("nash_tol", 1e-3)), float(blk.get("dev_resolution", 0.05)))
+        scenario, profile.alpha, profile.mix, blk["nash_tol"], blk["dev_resolution"])
     report.verdicts["cop_profile_nash"] = verdict.ok
     if not verdict.ok:
         report.metrics["nash_gap"] = verdict.gain
@@ -377,15 +395,10 @@ def _simulate_hybrid(sf: ScenarioFile, report: RunReport, out_dir: Path) -> None
     scenario: HybridScenario = sf.scenario
     blk = sf.block
     cfg = HybridDynConfig(
-        theta=float(blk.get("theta", 1.0)),
-        mu_bar=float(blk.get("mu_bar", 0.9)),
-        dt=float(blk.get("dt", 1e-3)),
-        t_end=float(blk.get("t_end", 10.0)),
-        sample_every=int(blk.get("sample_every", 10)),
-        residual_tol=float(blk.get("rest_tol", 1e-3)),
+        theta=blk["theta"], mu_bar=blk["mu_bar"], dt=blk["dt"], t_end=blk["t_end"],
+        sample_every=blk["sample_every"], residual_tol=blk["rest_tol"],
         channel_fitness=blk.get("channel_fitness", "payoff"),
-        gate_switching=bool(blk.get("gate_switching", True)),
-    )
+        gate_switching=blk["gate_switching"])
     mix0 = np.asarray(blk["mix0"], float)
     alpha0 = np.asarray(blk["alpha0"], float)
     state0 = HybridState(mix0, alpha0[:, None] * mix0)
@@ -412,8 +425,7 @@ def _simulate_hybrid(sf: ScenarioFile, report: RunReport, out_dir: Path) -> None
     report.verdicts["timescale_separation"] = (
         t_chi is not None and (t_beta is None or t_chi < t_beta))
     nash = hybrid_game.is_hybrid_nash(
-        scenario, terminal.alpha, terminal.mix,
-        float(blk.get("nash_tol", 1e-3)), float(blk.get("dev_resolution", 0.05)))
+        scenario, terminal.alpha, terminal.mix, blk["nash_tol"], blk["dev_resolution"])
     report.verdicts["terminal_profile_nash"] = nash.ok
     if not nash.ok:
         report.notes.append(
@@ -432,8 +444,7 @@ def _verify_hybrid(sf: ScenarioFile, report: RunReport) -> None:
     _expect(prof_blk, "verify.profile", {"alpha", "mix"}, {"alpha", "mix"})
     verdict = hybrid_game.is_hybrid_nash(
         scenario, np.asarray(prof_blk["alpha"], float),
-        np.asarray(prof_blk["mix"], float),
-        float(blk.get("nash_tol", 1e-3)), float(blk.get("dev_resolution", 0.02)))
+        np.asarray(prof_blk["mix"], float), blk["nash_tol"], blk["dev_resolution"])
     report.verdicts["profile_is_hybrid_nash"] = verdict.ok
     if not verdict.ok and verdict.user is not None:
         report.metrics["nash_witness"] = {

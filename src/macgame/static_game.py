@@ -4,7 +4,9 @@ Payoffs are u_i(alpha) = g_i(alpha_i) when the profile lies in the capacity
 region and 0 otherwise, with g_i positive and strictly increasing. The pure
 Nash set equals the maximal face of the region (feasible profiles whose rates
 sum to C_N), which also coincides with the strong equilibria, so verification
-reduces to face membership plus a best-reply cross-check.
+reduces to face membership plus a best-reply cross-check. The region is a
+polymatroid, so the social optimum and the normalized equilibrium are exact:
+greedy corners for linear welfare, the decomposition algorithm for concave.
 """
 
 from __future__ import annotations
@@ -241,103 +243,102 @@ def potential(game: StaticGame, rates) -> float:
     return game.welfare(a)
 
 
-def _clip_to_region(region: CapacityRegion, a: np.ndarray,
-                    max_sweeps: int = 200) -> np.ndarray:
-    """Feasibility projection by cyclic half-space clipping.
+def _maximize_separable(game: StaticGame, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize sum_i w_i g_i(alpha_i) over the capacity region, exactly.
 
-    Repeatedly projects onto the most violated coalition half-space and the
-    nonnegative orthant until all constraints hold to 1e-12.
-    """
-    table = region.table
-    x = np.maximum(a, 0.0)
-    for _ in range(max_sweeps):
-        viol = table.member @ x - region.bounds[1:]
-        worst = int(np.argmax(viol))
-        if viol[worst] <= 1e-12:
-            break
-        x = x - table.member[worst] * (viol[worst] / table.sizes[worst])
-        x = np.maximum(x, 0.0)
-    return x
-
-
-def _ascend(game: StaticGame, x0: np.ndarray, on_face: bool,
-            max_iter: int = 2000, step0: float = 1.0) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent of total welfare with backtracking.
-
-    With on_face=True iterates are additionally re-centered onto the
-    hyperplane sum(alpha) = C_N before clipping, restricting the search to
-    the maximal face.
+    The decomposition algorithm for separable concave maximization over a
+    polymatroid (Fujishige, Submodular Functions and Optimization, 2nd ed.,
+    2005, sec. 8.2; Groenevelt, EJOR 1991). On a block U of users with bounds
+    f(S) = C_{S+B} - C_B, B the users already placed, bisection on c solves
+    the level equation w_i g_i'(alpha_i) = c under alpha(U) = f(U) alone. If
+    a proper coalition A has negative room f(A) - alpha(A), the least-room
+    one is tight at the optimum: solve the restriction to A, then the
+    contraction to U - A with bounds C_{S+A+B} - C_{A+B}. At most N blocks.
+    Returns the rates and each user's level, the c of its block.
     """
     n = game.n_users
-    region = game.region
+    bounds = game.region.bounds
+    member = game.region.table.member
+    masks = np.arange(1, 1 << n)
+    inv, ls = game.utility.inv_deriv, game.log_scale
+    rates, levels = np.zeros(n), np.zeros(n)
 
-    def project(y: np.ndarray) -> np.ndarray:
-        if on_face:
-            y = y + (region.sum_capacity - y.sum()) / n
-        return _clip_to_region(region, y)
+    def solve(block: int, fixed: int) -> None:
+        users = list(coalition_members(block, n))
+        target = bounds[block | fixed] - bounds[fixed]
 
-    x = project(np.asarray(x0, dtype=float))
-    val = game.welfare(x)
-    step = step0
-    for _ in range(max_iter):
-        grad = game.g_deriv(np.arange(n), x)
-        improved = False
-        trial_step = step
-        for _ in range(60):
-            cand = project(x + trial_step * grad)
-            cand_val = game.welfare(cand)
-            if cand_val > val + 1e-15:
-                x, val = cand, cand_val
-                step = trial_step * 1.5
-                improved = True
+        def total(c: float) -> float:
+            return sum(inv(i, c / weights[i], ls) for i in users) - target
+
+        c_lo, c_hi = 1e-12, 1.0
+        for _ in range(200):
+            if total(c_hi) < 0.0:
                 break
-            trial_step *= 0.5
-        if not improved:
-            break
-    return x, val
+            c_hi *= 2.0
+        else:
+            raise ScenarioError("failed to bracket the multiplier from above")
+        for _ in range(200):
+            if total(c_lo) > 0.0:
+                break
+            c_lo *= 0.5
+        else:
+            raise ScenarioError("failed to bracket the multiplier from below")
+        c = bisect(total, c_lo, c_hi, tol=1e-13)
+        rates[users] = [inv(i, c / weights[i], ls) for i in users]
+        levels[users] = c
+        inner = masks[((masks & ~block) == 0) & (masks != block)]
+        room = bounds[inner | fixed] - bounds[fixed] - member[inner - 1] @ rates
+        if room.size and room.min() < -1e-12:
+            tight = int(inner[np.argmin(room)])
+            solve(tight, fixed)
+            solve(block & ~tight, fixed | tight)
+
+    solve(game.region.full_mask, 0)
+    return rates, levels
 
 
-def social_optimum(game: StaticGame, seed: int = 0) -> tuple[np.ndarray, float]:
-    """Maximize total welfare over the capacity region.
+def social_optimum(game: StaticGame) -> tuple[np.ndarray, float]:
+    """Maximize total welfare over the capacity region, exactly.
 
-    For the identity family the value is C_N exactly and any maximal-face
-    point attains it. Concave families are solved by projected gradient
-    ascent with feasibility clipping; the optimum lies on the maximal face
-    because utilities are strictly increasing.
+    Utilities are strictly increasing, so the optimum lies on the maximal
+    face. Identity families make welfare linear, and its maximum is the
+    greedy corner (Edmonds 1970) that decodes users in order of descending
+    scale. Concave families are solved by the decomposition algorithm with
+    unit weights.
     """
-    if game.utility.family == "identity" and game.utility.scale is None:
-        witness = sample_max_face(game, 1, seed=seed)[0]
-        return witness, game.region.sum_capacity
-    if not game.utility.strictly_concave and game.utility.scale is not None:
-        # scaled identity: linear objective, optimum at a face vertex
-        verts = _face_vertices(game)
-        vals = [game.welfare(v) for v in verts]
-        k = int(np.argmax(vals))
-        return verts[k], float(vals[k])
-    x0 = np.full(game.n_users, game.region.sum_capacity / game.n_users)
-    x, val = _ascend(game, x0, on_face=False)
-    return x, val
+    if game.utility.strictly_concave:
+        x, _ = _maximize_separable(game, np.ones(game.n_users))
+    else:
+        scale = np.ones(game.n_users) if game.utility.scale is None else game.utility.scale
+        x = _corner(game, np.argsort(-scale, kind="stable"))
+    return x, game.welfare(x)
+
+
+def _corner(game: StaticGame, order) -> np.ndarray:
+    """Successive-cancellation corner of a decoding order pi:
+    x_{pi(k)} = C_{pi(1..k)} - C_{pi(1..k-1)}."""
+    bounds = game.region.bounds
+    x = np.empty(game.n_users)
+    mask = 0
+    for k in order:
+        x[k] = bounds[mask | 1 << k] - bounds[mask]
+        mask |= 1 << k
+    return x
 
 
 def _face_vertices(game: StaticGame) -> list[np.ndarray]:
     """Vertices of the maximal face as successive-cancellation corners.
 
     The coalition bounds are submodular, so the maximal face is the base
-    polytope of a polymatroid and its vertices are the greedy corners: for
-    every decoding order pi, x_{pi(k)} = C_{pi(1..k)} - C_{pi(1..k-1)}.
-    Orders that give the same corner are merged.
+    polytope of a polymatroid and its vertices are the greedy corners of
+    the N! decoding orders. Orders that give the same corner are merged.
     """
     n = game.n_users
     if n > MAX_VERTEX_USERS:
         raise ScenarioError("face vertex enumeration limited to small user counts")
-    bounds = game.region.bounds
     verts: list[np.ndarray] = []
     for order in itertools.permutations(range(n)):
-        v = np.empty(n)
-        mask = 0
-        for k in order:
-            v[k] = bounds[mask | 1 << k] - bounds[mask]
-            mask |= 1 << k
+        v = _corner(game, order)
         if not any(np.allclose(v, w, atol=1e-9) for w in verts):
             verts.append(v)
     return verts
@@ -347,23 +348,19 @@ def efficiency_metrics(game: StaticGame) -> dict[str, float]:
     """Strong price of anarchy and price of stability.
 
     spoa = worst equilibrium welfare / social optimum, pos = best equilibrium
-    welfare / social optimum. Identity utilities are exactly fully efficient:
-    every equilibrium has welfare C_N. For concave utilities the worst
-    equilibrium is found at a face vertex and the best by ascent on the face.
+    welfare / social optimum. Welfare is concave or linear, so the worst
+    equilibrium sits at a vertex of the maximal face. pos is 1 exactly: the
+    welfare optimum lies on the maximal face because every g_i is strictly
+    increasing, and every point of that face is a Nash equilibrium, since
+    with the grand coalition tight each best reply equals the user's own
+    rate. Identity utilities are fully efficient: every equilibrium has
+    welfare C_N.
     """
     if game.utility.family == "identity" and game.utility.scale is None:
         return {"spoa": 1.0, "pos": 1.0}
     _, opt_val = social_optimum(game)
-    verts = _face_vertices(game)
-    worst = min(game.welfare(v) for v in verts)
-    if not game.utility.strictly_concave:
-        # weighted-linear welfare peaks at a face vertex, which is itself an
-        # equilibrium, so the best equilibrium attains the optimum exactly
-        return {"spoa": worst / opt_val, "pos": 1.0}
-    x0 = np.full(game.n_users, game.region.sum_capacity / game.n_users)
-    _, best = _ascend(game, x0, on_face=True)
-    best = min(best, opt_val)  # face optimum cannot exceed the global one
-    return {"spoa": worst / opt_val, "pos": best / opt_val}
+    worst = min(game.welfare(v) for v in _face_vertices(game))
+    return {"spoa": worst / opt_val, "pos": 1.0}
 
 
 @dataclass(frozen=True)
@@ -375,11 +372,14 @@ class NormalizedEquilibrium:
 
 
 def normalized_equilibrium(game: StaticGame, tau) -> NormalizedEquilibrium:
-    """Equilibrium with shared-constraint multipliers zeta_i = c / tau_i.
+    """Rosen's normalized equilibrium with weights tau (Econometrica 1965).
 
-    Solves g_i'(alpha_i) = c / tau_i together with sum(alpha) = C_N by
-    bisection on c: the map c -> sum_i (g_i')^{-1}(c / tau_i) is strictly
-    decreasing. Requires a strictly concave utility family.
+    The payoffs are separable, so it is the maximizer of sum_i tau_i g_i
+    over the capacity region. c is the multiplier of the grand-coalition
+    constraint, the lowest level tau_i g_i'(alpha_i). zeta_i is user i's
+    level over tau_i: c / tau_i when no proper coalition binds, larger for
+    the users of a binding coalition, whose multipliers add to the level.
+    Requires a strictly concave utility family.
     """
     if not game.utility.strictly_concave:
         raise ScenarioError("normalized equilibrium requires a strictly concave utility")
@@ -387,29 +387,9 @@ def normalized_equilibrium(game: StaticGame, tau) -> NormalizedEquilibrium:
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if tau.shape != (n,) or np.any(tau <= 0):
         raise ScenarioError("tau must be a positive vector of length n_users")
-    target = game.region.sum_capacity
-    ls = game.log_scale
-
-    def total(c: float) -> float:
-        return sum(game.utility.inv_deriv(i, c / tau[i], ls) for i in range(n)) - target
-
-    c_lo, c_hi = 1e-12, 1.0
-    for _ in range(200):
-        if total(c_hi) < 0.0:
-            break
-        c_hi *= 2.0
-    else:
-        raise ScenarioError("failed to bracket the multiplier from above")
-    for _ in range(200):
-        if total(c_lo) > 0.0:
-            break
-        c_lo *= 0.5
-    else:
-        raise ScenarioError("failed to bracket the multiplier from below")
-    c = bisect(total, c_lo, c_hi, tol=1e-13)
-    rates = np.array([game.utility.inv_deriv(i, c / tau[i], ls) for i in range(n)])
-    residual = abs(float(rates.sum()) - target)
-    return NormalizedEquilibrium(rates, c, c / tau, residual)
+    rates, levels = _maximize_separable(game, tau)
+    residual = abs(float(rates.sum()) - game.region.sum_capacity)
+    return NormalizedEquilibrium(rates, float(levels.min()), levels / tau, residual)
 
 
 def ess_resists_invasion(game: StaticGame, mutant: float, eps: float) -> bool:

@@ -65,6 +65,18 @@ def test_bisect_iteration_budget():
     assert len(calls) <= budget
 
 
+def test_bisect_raises_at_its_iteration_cap():
+    with pytest.raises(NumericsError):
+        bisect(lambda x: x - math.pi, 0.0, 10.0, tol=1e-14, max_iter=3)
+
+
+def test_bisect_stops_at_float_resolution():
+    # near the root f moves by ~5e-4 per float step, far above tol, so only
+    # the exhausted bracket ends the search
+    root = bisect(lambda x: x * x - 2e12, 0.0, 2e6, tol=1e-14)
+    assert root == pytest.approx(math.sqrt(2e12), rel=1e-15)
+
+
 def test_bisect_rejects_bad_bracket():
     with pytest.raises(NumericsError):
         bisect(lambda x: x + 5.0, 0.0, 1.0)

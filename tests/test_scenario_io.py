@@ -260,6 +260,46 @@ class TestCli:
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, task, key, value", [
+        ("single_receiver", "analyze", "tau", "abc"),
+        ("single_receiver", "analyze", "tau", [1.0, "x", 1.0]),
+        ("single_receiver", "analyze", "tau", [1.0, float("nan"), 1.0]),
+        ("single_receiver", "analyze", "tau", [1.0, 0.0, 1.0]),
+        ("single_receiver", "analyze", "tau", [1.0, 1.0]),
+        ("single_receiver", "simulate", "grid_points", "abc"),
+        ("single_receiver", "simulate", "grid_points", 20.5),
+        ("single_receiver", "simulate", "theta", float("nan")),
+        ("single_receiver", "simulate", "dt", "0.01"),
+        ("single_receiver", "simulate", "anchor_equilibrium", "false"),
+        ("single_receiver", "simulate", "dirac_at", "x"),
+        ("single_receiver", "verify", "dev_points", "many"),
+        ("single_receiver", "verify", "cce_tol", float("inf")),
+        ("hybrid", "analyze", "n_starts", 2.5),
+        ("hybrid", "simulate", "mu_bar", float("nan")),
+        ("hybrid", "simulate", "gate_switching", 0),
+        ("hybrid", "verify", "dev_resolution", None),
+    ])
+    def test_bad_task_block_value_exit_two(self, tmp_path, capsys, kind, task, key, value):
+        blocks = {
+            ("single_receiver", "simulate"): {"grid_points": 21, "dt": 0.01, "t_end": 0.1},
+            ("single_receiver", "verify"): {"profile": [3.0, 3.0, 3.0]},
+            ("hybrid", "simulate"): dict(HYBRID_EXAMPLE["simulate"]),
+            ("hybrid", "verify"): {"profile": {"alpha": [0.2, 0.1],
+                                               "mix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}},
+        }
+        base = HYBRID_EXAMPLE if kind == "hybrid" else dict(MINIMAL_SINGLE, utility={"family": "log1p"})
+        doc = {k: v for k, v in base.items() if k != "simulate"}
+        block = doc[task] = blocks.get((kind, task), {})
+        doc["task"] = task
+        if key == "dirac_at":
+            block["initial"] = {key: value}
+        else:
+            block[key] = value
+        path = write(tmp_path, "bad.json", doc)
+        assert main([task, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{task}." in err and key in err
+
     def test_companion_table_over_the_cap_exit_two(self, tmp_path, capsys):
         doc = dict(MINIMAL_SINGLE, task="simulate", users=6,
                    simulate={"grid_points": 101, "dt": 0.01, "t_end": 0.1})

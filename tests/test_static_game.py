@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from macgame.capacity import ScenarioError, SingleReceiverScenario, contains, safe_rates_full
+from macgame.cli import main
 from macgame.static_game import (
     UtilitySpec,
     best_response,
@@ -199,6 +201,15 @@ class TestSocialOptimum:
         assert value >= grid_best - 1e-6
         assert value <= grid_best + 2e-3  # grid undershoots the true optimum
 
+    def test_scaled_identity_takes_the_best_face_vertex(self):
+        from macgame.static_game import _face_vertices
+        s = SingleReceiverScenario(np.array([12.0, 30.0, 4.0]),
+                                   np.array([1.0, 0.7, 1.5]), 0.4)
+        g = make_game(s, UtilitySpec("identity", scale=np.array([1.0, 3.0, 2.0])))
+        witness, value = social_optimum(g)
+        assert value == pytest.approx(max(g.welfare(v) for v in _face_vertices(g)), abs=1e-12)
+        assert is_nash(g, witness)
+
 
 class TestEfficiencyMetrics:
     def test_identity_is_exactly_fully_efficient(self):
@@ -211,7 +222,7 @@ class TestEfficiencyMetrics:
         s = SingleReceiverScenario(np.array([30.0, 5.0]), np.array([1.0, 1.0]), 0.2)
         g = make_game(s, UtilitySpec("log1p"))
         m = efficiency_metrics(g)
-        assert m["pos"] == pytest.approx(1.0, abs=1e-6)
+        assert m["pos"] == 1.0
         assert m["spoa"] <= 1.0 + 1e-12
         assert 0.0 < m["spoa"] <= m["pos"] <= 1.0 + 1e-9
 
@@ -312,6 +323,60 @@ class TestNormalizedEquilibrium:
     def test_identity_utility_rejected(self):
         with pytest.raises(ScenarioError):
             normalized_equilibrium(sym_game(), [1.0, 1.0, 1.0])
+
+
+def assert_exchange_optimal(game, rates, weights):
+    """Feasible, on the maximal face, Nash, and no improving exchange
+    (Fujishige, Submodular Functions and Optimization, Thm 8.1): whenever
+    w_i g_i'(alpha_i) exceeds w_j g_j'(alpha_j) and alpha_j > 0, some tight
+    coalition holds i but not j, so no rate can move from j to i."""
+    n = game.n_users
+    assert contains(game.region, rates, 1e-10)
+    assert abs(rates.sum() - game.region.sum_capacity) <= 1e-10
+    assert is_nash(game, rates)
+    level = weights * game.g_deriv(np.arange(n), rates)
+    member = game.region.table.member
+    tight = member[game.region.bounds[1:] - member @ rates <= 1e-9]
+    for i, j in itertools.permutations(range(n), 2):
+        if level[i] > level[j] + 1e-9 and rates[j] > 0.0:
+            assert np.any((tight[:, i] == 1.0) & (tight[:, j] == 0.0)), (i, j, level)
+
+
+class TestExactSolver:
+    def test_defect_input_through_analyze(self, tmp_path, capsys):
+        doc = {"kind": "single_receiver", "task": "analyze", "users": 3,
+               "power": [30.0, 10.0, 5.0], "gain": 1.0, "noise": 0.1,
+               "utility": {"family": "log1p"}, "analyze": {"tau": [100.0, 1.0, 1.0]}}
+        path = tmp_path / "defect.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        rates = np.array(metrics["normalized_equilibrium"]["rates"])
+        g = make_game(SingleReceiverScenario(np.array([30.0, 10.0, 5.0]), np.ones(3), 0.1),
+                      UtilitySpec("log1p"))
+        assert contains(g.region, rates, 1e-12)
+        assert is_nash(g, rates)
+        assert rates[0] == pytest.approx(g.region.bound(0b001), abs=1e-12)
+        assert metrics["pos"] == 1.0
+
+    @pytest.mark.parametrize("family", ["log1p", "power"])
+    def test_exchange_optimality_on_random_draws(self, family):
+        rng = np.random.default_rng(7 if family == "log1p" else 8)
+        binding = 0
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            s = SingleReceiverScenario(rng.uniform(1.0, 40.0, n), rng.uniform(0.3, 1.5, n),
+                                       float(rng.uniform(0.05, 1.0)))
+            gamma = float(rng.uniform(0.2, 0.8)) if family == "power" else None
+            g = make_game(s, UtilitySpec(family, gamma))
+            tau = np.exp(rng.uniform(-3.0, 3.0, n))
+            eq = normalized_equilibrium(g, tau)
+            assert_exchange_optimal(g, eq.rates, tau)
+            binding += np.ptp(eq.zeta * tau) > 1e-9
+            witness, value = social_optimum(g)
+            assert_exchange_optimal(g, witness, np.ones(n))
+            assert value == pytest.approx(g.welfare(witness), abs=1e-12)
+        assert binding >= 50  # most draws bind a proper coalition
 
 
 class TestSymmetricEss:
