@@ -11,10 +11,9 @@ equilibria.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -277,14 +276,44 @@ def potential_psi(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> fl
     return float(np.sum(p * scenario.g(scenario.users, a[:, None] * p), axis=1).sum())
 
 
+#: largest deviation simplex grid that is_hybrid_nash builds
+MAX_SIMPLEX_ROWS = 1 << 20
+
+
+def grid_denominator(n_receivers: int, resolution: float) -> int:
+    """Denominator m = 1/resolution of the deviation simplex grid.
+
+    Refuses a resolution outside (0, 1] and one whose grid, C(m + J - 1, J - 1)
+    rows, would exceed MAX_SIMPLEX_ROWS.
+    """
+    if not 0.0 < resolution <= 1.0:
+        raise ScenarioError(f"dev_resolution must lie in (0, 1], got {resolution!r}")
+    # past the cap m only matters for a single receiver, whose grid is one row
+    m = max(int(round(min(1.0 / resolution, MAX_SIMPLEX_ROWS))), 1)
+    rows = math.comb(m + n_receivers - 1, n_receivers - 1)
+    if rows > MAX_SIMPLEX_ROWS:
+        raise ScenarioError(f"dev_resolution={resolution} gives {rows} simplex rows over "
+                            f"{n_receivers} receivers, above the cap {MAX_SIMPLEX_ROWS}")
+    return m
+
+
+@lru_cache(maxsize=32)
 def _simplex_grid(n_receivers: int, resolution: float) -> np.ndarray:
-    """All compositions k/m on the simplex with denominator m = 1/resolution."""
-    m = max(int(round(1.0 / resolution)), 1)
-    rows = []
-    for combo in itertools.combinations_with_replacement(range(n_receivers), m):
-        counts = np.bincount(combo, minlength=n_receivers)
-        rows.append(counts / m)
-    return np.unique(np.asarray(rows, dtype=float), axis=0)
+    """All compositions k/m on the simplex with denominator m = 1/resolution,
+    rows in ascending lexicographic order; cached and read-only."""
+    m = grid_denominator(n_receivers, resolution)
+    # stars and bars, one receiver at a time: each prefix with `left` units
+    # still to place is followed by every next count 0..left in ascending order
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([m])
+    for _ in range(n_receivers - 1):
+        width = left + 1
+        part = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        counts = np.hstack([np.repeat(counts, width, axis=0), part[:, None]])
+        left = np.repeat(left, width) - part
+    grid = np.hstack([counts, left[:, None]]) / m
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -307,6 +336,14 @@ def is_hybrid_nash(scenario: HybridScenario, alpha, mix, tol: float = 1e-3,
     The profile itself must be feasible; then no user may gain more than tol
     by any joint deviation (alpha'_i, p'_i) on a rate grid times a simplex
     grid at dev_resolution, holding the others fixed.
+
+    Every utility is strictly increasing, so on a simplex row p the payoff
+    sum_j p_j g_i(r p_j) increases with r, and the feasible grid rates are a
+    prefix of the rate grid. The best rate of the row is the last one at or
+    below r_max(p) = min over coalitions Omega with i and receivers j with
+    p_j > 0 of room_{Omega,j} / p_j; that index and the next are re-checked
+    with the inequality itself, so division rounding cannot move it. The
+    witness is the first row with the largest gain.
     """
     a = as_alpha(alpha, scenario.n_users)
     p = as_mix(mix, scenario.n_users, scenario.n_receivers)
@@ -317,28 +354,31 @@ def is_hybrid_nash(scenario: HybridScenario, alpha, mix, tol: float = 1e-3,
     member, caps = region_tables(scenario)
     rate_his = single_user_caps(scenario).sum(axis=1)
     for i in range(scenario.n_users):
-        current = expected_payoff(scenario, a, p, i)
-        rates = np.linspace(0.0, rate_his[i], rate_points)
         # opponents' load and the bound of every coalition containing i
         with_i = member[:, i] > 0.0
         others = beta.copy()
         others[i] = 0.0
-        load = (member[with_i] @ others)[None]             # (1, masks, J)
-        cap = caps[with_i][None] + 1e-12
-        best_gain, best_dev = 0.0, None
-        for prow in simplex:
-            trial_beta = rates[:, None] * prow[None, :]          # (rates, J)
-            ok = np.all(trial_beta[:, None, :] + load <= cap, axis=(1, 2))
-            if not ok.any():
-                continue
-            vals = np.sum(prow[None, :] * scenario.g(i, trial_beta), axis=1)
-            vals = np.where(ok, vals, -math.inf)
-            k_best = int(np.argmax(vals))
-            gain = float(vals[k_best]) - current
-            if gain > best_gain:
-                best_gain, best_dev = gain, (float(rates[k_best]), prow.copy())
-        if best_gain > tol:
-            return HybridNashVerdict(False, i, best_gain, best_dev[0], best_dev[1])
+        load = member[with_i] @ others                       # (masks, J)
+        cap = caps[with_i] + 1e-12
+        if not np.all(load <= cap):
+            continue                  # not even rate 0 is feasible on any row
+        rates = np.linspace(0.0, rate_his[i], rate_points)
+        room = (cap - load).min(axis=0)
+        r_max = np.divide(room, simplex, out=np.full(simplex.shape, math.inf),
+                          where=simplex > 0.0).min(axis=1)
+        k = np.searchsorted(rates, r_max, side="right") - 1
+        pair = np.stack([k, np.minimum(k + 1, rate_points - 1)], axis=1)
+        trial = rates[pair][:, :, None] * simplex[:, None, :]    # (rows, 2, J)
+        ok = np.ones(pair.shape, dtype=bool)
+        for load_m, cap_m in zip(load, cap):
+            ok &= np.all(trial + load_m <= cap_m, axis=2)
+        k = np.where(ok[:, 1], pair[:, 1], np.where(ok[:, 0], k, k - 1))
+        vals = np.sum(simplex * scenario.g(i, rates[k][:, None] * simplex), axis=1)
+        gains = vals - expected_payoff(scenario, a, p, i)
+        row = int(np.argmax(gains))
+        if gains[row] > tol:
+            return HybridNashVerdict(False, i, float(gains[row]), float(rates[k[row]]),
+                                     simplex[row].copy())
     return HybridNashVerdict(True)
 
 
@@ -363,6 +403,46 @@ def _clip_alpha(scenario: HybridScenario, a: np.ndarray, p: np.ndarray,
     return x
 
 
+def ascend_potential(scenario: HybridScenario, alpha, mix, max_iter: int = 400,
+                     trace: Optional[list] = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Projected gradient ascent of the potential from (alpha, mix).
+
+    Each step backtracks until the potential increases, projecting mixes
+    onto the simplex and rates onto the coupled polytope; the ascent stops
+    at the first step that finds no increase. Returns the last accepted
+    (alpha, mix, potential). When a list is passed as trace, the starting
+    and every accepted potential value are appended to it in order.
+    """
+    n = scenario.n_users
+    a, p = np.asarray(alpha, dtype=float), np.asarray(mix, dtype=float)
+    val = potential_psi(scenario, a, p)
+    if trace is not None:
+        trace.append(val)
+    step = 1.0
+    for _ in range(max_iter):
+        beta = a[:, None] * p
+        # power-family marginal blows up at zero rate; evaluate just inside
+        gprime = scenario.g_deriv(scenario.users, np.maximum(beta, 1e-12))
+        gp = scenario.g(scenario.users, beta) + beta * gprime
+        ga = np.sum(p ** 2 * gprime, axis=1)
+        trial = step
+        for _ in range(50):
+            a_new = a + trial * ga
+            p_new = np.vstack([project_simplex(p[i] + trial * gp[i]) for i in range(n)])
+            a_new = _clip_alpha(scenario, a_new, p_new)
+            v_new = potential_psi(scenario, a_new, p_new)
+            if v_new > val + 1e-14:
+                a, p, val = a_new, p_new, v_new
+                if trace is not None:
+                    trace.append(val)
+                step = trial * 1.5
+                break
+            trial *= 0.5
+        else:
+            break
+    return a, p, val
+
+
 def solve_cop(scenario: HybridScenario, n_starts: int = 16,
               seed: int = 0, max_iter: int = 400,
               trace: Optional[list] = None) -> tuple[HybridProfile, float]:
@@ -370,9 +450,8 @@ def solve_cop(scenario: HybridScenario, n_starts: int = 16,
     feasible set.
 
     Starts draw Dirichlet mix rows and uniform rates below the single-user
-    caps. Each ascent step backtracks until the potential does not decrease,
-    projecting mixes onto the simplex and rates onto the coupled polytope.
-    The best local maximizer over all starts is returned (first index wins
+    caps, clipped onto the polytope, and each runs ascend_potential. The
+    best local maximizer over all starts is returned (first index wins
     ties). When a list is passed as trace, every accepted potential value is
     appended to it in order.
     """
@@ -384,34 +463,7 @@ def solve_cop(scenario: HybridScenario, n_starts: int = 16,
     for _ in range(n_starts):
         p = rng.dirichlet(np.ones(nj), size=n)
         a = rng.uniform(0.0, single_caps.min(axis=1))
-        a = _clip_alpha(scenario, a, p)
-        val = potential_psi(scenario, a, p)
-        if trace is not None:
-            trace.append(val)
-        step = 1.0
-        for _ in range(max_iter):
-            beta = a[:, None] * p
-            # power-family marginal blows up at zero rate; evaluate just inside
-            gprime = scenario.g_deriv(scenario.users, np.maximum(beta, 1e-12))
-            gp = scenario.g(scenario.users, beta) + beta * gprime
-            ga = np.sum(p ** 2 * gprime, axis=1)
-            improved = False
-            trial = step
-            for _ in range(50):
-                a_new = a + trial * ga
-                p_new = np.vstack([project_simplex(p[i] + trial * gp[i]) for i in range(n)])
-                a_new = _clip_alpha(scenario, a_new, p_new)
-                v_new = potential_psi(scenario, a_new, p_new)
-                if v_new > val + 1e-14:
-                    a, p, val = a_new, p_new, v_new
-                    if trace is not None:
-                        trace.append(val)
-                    step = trial * 1.5
-                    improved = True
-                    break
-                trial *= 0.5
-            if not improved:
-                break
+        a, p, val = ascend_potential(scenario, _clip_alpha(scenario, a, p), p, max_iter, trace)
         if val > best_val + 1e-15:
             best_val = val
             best = (a.copy(), p.copy())

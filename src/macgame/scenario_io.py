@@ -106,6 +106,15 @@ def _check_shape(value, shape: tuple, path: str, scalar_ok: bool = False) -> np.
     return arr
 
 
+def _sub_block(block: dict, key: str, path: str, keys: set[str]) -> dict:
+    """A nested object of a task block that must hold exactly these keys."""
+    sub = block[key]
+    if not isinstance(sub, dict):
+        raise ScenarioError(f"{path}.{key}: must be an object")
+    _expect(sub, f"{path}.{key}", keys, keys)
+    return sub
+
+
 def _integer(doc: dict, key: str, path: str, minimum: int = 1, default=None) -> int:
     value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
@@ -184,17 +193,42 @@ def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
     for other in TASKS:
         if other != task and other in doc:
             raise ScenarioError(f"{path}: block {other!r} does not match task {task!r}")
-    block = dict(block, **{key: _setting(block, key, f"{path}.{task}", default)
+    at = f"{path}.{task}"
+    block = dict(block, **{key: _setting(block, key, at, default)
                            for key, default in settings.items()})
+    if kind == "hybrid":
+        # the certified COP ends because every better response gains > nash_tol
+        if not block["nash_tol"] > 0.0:
+            raise ScenarioError(f"{at}.nash_tol: must be positive, got {block['nash_tol']!r}")
+        try:
+            hybrid_game.grid_denominator(nj, block["dev_resolution"])
+        except ScenarioError as exc:
+            raise ScenarioError(f"{at}.dev_resolution: {exc}") from None
     if kind == "hybrid" and task == "simulate":
-        _check_shape(block["mix0"], (n, nj), f"{path}.simulate.mix0")
-        _check_shape(block["alpha0"], (n,), f"{path}.simulate.alpha0")
+        _check_shape(block["mix0"], (n, nj), f"{at}.mix0")
+        _check_shape(block["alpha0"], (n,), f"{at}.alpha0")
+    if kind == "hybrid" and task == "verify":
+        prof = _sub_block(block, "profile", at, {"alpha", "mix"})
+        block["profile"] = {"alpha": _check_shape(prof["alpha"], (n,), f"{at}.profile.alpha"),
+                            "mix": _check_shape(prof["mix"], (n, nj), f"{at}.profile.mix")}
+    if kind == "single_receiver" and task == "verify":
+        if "profile" in block:
+            block["profile"] = _check_shape(block["profile"], (n,), f"{at}.profile")
+        if "device" in block:
+            dev = _sub_block(block, "device", at, {"profiles", "weights"})
+            atoms = len(dev["profiles"]) if isinstance(dev["profiles"], list) else 0
+            block["device"] = {
+                "profiles": _check_shape(dev["profiles"], (atoms, n), f"{at}.device.profiles"),
+                "weights": _check_shape(dev["weights"], (atoms,), f"{at}.device.weights")}
     tau = block.get("tau")
-    if tau is not None and np.any(_check_shape(tau, (n,), f"{path}.analyze.tau") <= 0):
-        raise ScenarioError(f"{path}.analyze.tau: entries must be positive")
+    if tau is not None and np.any(_check_shape(tau, (n,), f"{at}.tau") <= 0):
+        raise ScenarioError(f"{at}.tau: entries must be positive")
     initial = block.get("initial")
     if isinstance(initial, dict) and "dirac_at" in initial:
-        block["initial"] = {"dirac_at": _finite(initial, "dirac_at", f"{path}.simulate.initial")}
+        block["initial"] = {"dirac_at": _finite(initial, "dirac_at", f"{at}.initial")}
+    elif isinstance(initial, dict) and "masses" in initial:
+        block["initial"] = {"masses": _check_shape(
+            initial["masses"], (block["grid_points"],), f"{at}.initial.masses")}
 
     return ScenarioFile(
         kind=kind,
@@ -301,8 +335,7 @@ def _analyze_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> No
     metrics = static_game.efficiency_metrics(game)
     report.metrics["spoa"] = metrics["spoa"]
     report.metrics["pos"] = metrics["pos"]
-    _, opt_val = static_game.social_optimum(game)
-    report.metrics["social_optimum"] = opt_val
+    report.metrics["social_optimum"] = metrics["social_optimum"]
     if sf.scenario.is_symmetric() and (game.utility.scale is None
                                        or np.ptp(game.utility.scale) == 0.0):
         report.metrics["ess_rate"] = static_game.symmetric_ess(game)
@@ -329,7 +362,7 @@ def _simulate_single(sf: ScenarioFile, game: StaticGame, report: RunReport,
     elif isinstance(initial, dict) and "dirac_at" in initial:
         mass0 = population.dirac_state(grid, initial["dirac_at"])
     elif isinstance(initial, dict) and "masses" in initial:
-        mass0 = population.as_state(np.asarray(initial["masses"], float), grid.n_points)
+        mass0 = population.as_state(initial["masses"], grid.n_points)
     else:
         raise ScenarioError("simulate.initial must be 'uniform', {'dirac_at': x} or {'masses': [...]} ")
     config = IntegratorConfig(blk["dt"], blk["t_end"], blk["sample_every"])
@@ -351,14 +384,10 @@ def _simulate_single(sf: ScenarioFile, game: StaticGame, report: RunReport,
 def _verify_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> None:
     blk = sf.block
     if "profile" in blk:
-        prof = np.asarray(blk["profile"], float)
-        ok = static_game.is_nash(game, prof, blk["nash_tol"])
-        report.verdicts["profile_is_nash"] = ok
+        report.verdicts["profile_is_nash"] = static_game.is_nash(
+            game, blk["profile"], blk["nash_tol"])
     if "device" in blk:
-        dev_blk = blk["device"]
-        _expect(dev_blk, "verify.device", {"profiles", "weights"}, {"profiles", "weights"})
-        device = correlated.CorrelatedDevice(
-            np.asarray(dev_blk["profiles"], float), np.asarray(dev_blk["weights"], float))
+        device = correlated.CorrelatedDevice(blk["device"]["profiles"], blk["device"]["weights"])
         verdict = correlated.is_cce(device, game, blk["dev_points"], blk["cce_tol"])
         report.verdicts["device_is_cce"] = verdict.ok
         if verdict.witness is not None:
@@ -381,11 +410,23 @@ def _analyze_hybrid(sf: ScenarioFile, report: RunReport) -> None:
             for j in range(scenario.n_receivers)]
     report.metrics["receiver_capacities"] = caps
     profile, value = hybrid_game.solve_cop(scenario, blk["n_starts"], seed=sf.seed)
+    alpha, mix = profile.alpha, profile.mix
+    verdict = hybrid_game.is_hybrid_nash(scenario, alpha, mix, blk["nash_tol"], blk["dev_resolution"])
+    rounds = 0
+    # Psi is an exact potential, so the witness deviation raises it by its gain,
+    # more than nash_tol, and the ascent only raises it further: the rounds end
+    # (finite improvement property, Monderer & Shapley 1996)
+    while not verdict.ok and verdict.user is not None:
+        alpha, mix = alpha.copy(), mix.copy()
+        alpha[verdict.user], mix[verdict.user] = verdict.deviation_alpha, verdict.deviation_mix
+        alpha, mix, value = hybrid_game.ascend_potential(scenario, alpha, mix)
+        rounds += 1
+        verdict = hybrid_game.is_hybrid_nash(
+            scenario, alpha, mix, blk["nash_tol"], blk["dev_resolution"])
     report.metrics["potential_value"] = value
-    report.metrics["alpha"] = profile.alpha
-    report.metrics["mix"] = profile.mix
-    verdict = hybrid_game.is_hybrid_nash(
-        scenario, profile.alpha, profile.mix, blk["nash_tol"], blk["dev_resolution"])
+    report.metrics["alpha"] = alpha
+    report.metrics["mix"] = mix
+    report.metrics["better_response_rounds"] = rounds
     report.verdicts["cop_profile_nash"] = verdict.ok
     if not verdict.ok:
         report.metrics["nash_gap"] = verdict.gain
@@ -440,11 +481,9 @@ def _simulate_hybrid(sf: ScenarioFile, report: RunReport, out_dir: Path) -> None
 def _verify_hybrid(sf: ScenarioFile, report: RunReport) -> None:
     scenario: HybridScenario = sf.scenario
     blk = sf.block
-    prof_blk = blk["profile"]
-    _expect(prof_blk, "verify.profile", {"alpha", "mix"}, {"alpha", "mix"})
+    prof = blk["profile"]
     verdict = hybrid_game.is_hybrid_nash(
-        scenario, np.asarray(prof_blk["alpha"], float),
-        np.asarray(prof_blk["mix"], float), blk["nash_tol"], blk["dev_resolution"])
+        scenario, prof["alpha"], prof["mix"], blk["nash_tol"], blk["dev_resolution"])
     report.verdicts["profile_is_hybrid_nash"] = verdict.ok
     if not verdict.ok and verdict.user is not None:
         report.metrics["nash_witness"] = {

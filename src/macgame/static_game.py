@@ -345,7 +345,7 @@ def _face_vertices(game: StaticGame) -> list[np.ndarray]:
 
 
 def efficiency_metrics(game: StaticGame) -> dict[str, float]:
-    """Strong price of anarchy and price of stability.
+    """Strong price of anarchy, price of stability and the social optimum.
 
     spoa = worst equilibrium welfare / social optimum, pos = best equilibrium
     welfare / social optimum. Welfare is concave or linear, so the worst
@@ -356,11 +356,11 @@ def efficiency_metrics(game: StaticGame) -> dict[str, float]:
     rate. Identity utilities are fully efficient: every equilibrium has
     welfare C_N.
     """
-    if game.utility.family == "identity" and game.utility.scale is None:
-        return {"spoa": 1.0, "pos": 1.0}
     _, opt_val = social_optimum(game)
+    if game.utility.family == "identity" and game.utility.scale is None:
+        return {"spoa": 1.0, "pos": 1.0, "social_optimum": opt_val}
     worst = min(game.welfare(v) for v in _face_vertices(game))
-    return {"spoa": worst / opt_val, "pos": 1.0}
+    return {"spoa": worst / opt_val, "pos": 1.0, "social_optimum": opt_val}
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from macgame.capacity import ScenarioError
 from macgame.hybrid_game import (
+    HybridNashVerdict,
     HybridProfile,
     HybridScenario,
     best_receiver_set,
@@ -16,7 +18,10 @@ from macgame.hybrid_game import (
     potential_psi,
     receiver_capacity,
     receiver_sum_capacities,
+    region_tables,
+    single_user_caps,
     solve_cop,
+    _clip_alpha,
     _simplex_grid,
 )
 from macgame.static_game import UtilitySpec
@@ -273,3 +278,103 @@ def test_simplex_grid_rows_are_stochastic():
     assert np.allclose(grid.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(grid >= 0.0)
     assert len(grid) == 66  # compositions of 10 into 3 parts
+
+
+def itertools_simplex_grid(n_receivers, resolution):
+    """Reference grid: every multiset of m receivers, counted and sorted."""
+    m = max(int(round(1.0 / resolution)), 1)
+    rows = [np.bincount(combo, minlength=n_receivers) / m
+            for combo in itertools.combinations_with_replacement(range(n_receivers), m)]
+    return np.unique(np.asarray(rows, dtype=float), axis=0)
+
+
+@pytest.mark.parametrize("n_receivers", [1, 2, 3, 4, 5])
+def test_simplex_grid_matches_itertools_construction(n_receivers):
+    for resolution in (1.0, 0.5, 0.3, 0.1, 0.05):
+        grid = _simplex_grid(n_receivers, resolution)
+        assert grid.dtype == float
+        assert np.array_equal(grid, itertools_simplex_grid(n_receivers, resolution))
+    assert _simplex_grid(n_receivers, 0.05) is _simplex_grid(n_receivers, 0.05)
+    with pytest.raises(ValueError):
+        _simplex_grid(n_receivers, 0.05)[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.5, 5.0, float("nan"), 1e-4, 5e-324])
+def test_simplex_grid_refuses_bad_resolution(resolution):
+    with pytest.raises(ScenarioError, match="dev_resolution"):
+        _simplex_grid(3, resolution)
+
+
+def row_loop_verdict(scenario, alpha, mix, tol=1e-3, dev_resolution=0.02, rate_points=101):
+    """Reference verifier: every simplex row times the whole rate grid, the
+    first row with a strictly larger gain kept."""
+    a = np.asarray(alpha, dtype=float)
+    p = np.asarray(mix, dtype=float)
+    if not hybrid_feasible(scenario, a, p, 1e-9):
+        return HybridNashVerdict(False, gain=math.inf)
+    beta = a[:, None] * p
+    member, caps = region_tables(scenario)
+    rate_his = single_user_caps(scenario).sum(axis=1)
+    for i in range(scenario.n_users):
+        current = expected_payoff(scenario, a, p, i)
+        rates = np.linspace(0.0, rate_his[i], rate_points)
+        with_i = member[:, i] > 0.0
+        others = beta.copy()
+        others[i] = 0.0
+        load = (member[with_i] @ others)[None]
+        cap = caps[with_i][None] + 1e-12
+        best_gain, best_dev = 0.0, None
+        for prow in itertools_simplex_grid(scenario.n_receivers, dev_resolution):
+            trial_beta = rates[:, None] * prow[None, :]
+            ok = np.all(trial_beta[:, None, :] + load <= cap, axis=(1, 2))
+            if not ok.any():
+                continue
+            vals = np.sum(prow[None, :] * scenario.g(i, trial_beta), axis=1)
+            vals = np.where(ok, vals, -math.inf)
+            k_best = int(np.argmax(vals))
+            gain = float(vals[k_best]) - current
+            if gain > best_gain:
+                best_gain, best_dev = gain, (float(rates[k_best]), prow.copy())
+        if best_gain > tol:
+            return HybridNashVerdict(False, i, best_gain, best_dev[0], best_dev[1])
+    return HybridNashVerdict(True)
+
+
+def oracle_profiles(scenario, rng):
+    """Passing and failing own-receiver profiles, random interior profiles
+    and an infeasible one."""
+    n, nj = scenario.n_users, scenario.n_receivers
+    single = single_user_caps(scenario)
+    own = np.zeros((n, nj))
+    own[np.arange(n), np.arange(n) % nj] = 1.0
+    alpha = single[np.arange(n), np.arange(n) % nj].copy()
+    failing = alpha.copy()
+    failing[0] *= 0.9
+    yield alpha, own
+    yield failing, own
+    for _ in range(3):
+        mix = rng.dirichlet(np.ones(nj), size=n)
+        yield _clip_alpha(scenario, rng.uniform(0.0, single.min(axis=1)), mix), mix
+    yield 3.0 * single.max(axis=1), own
+
+
+@pytest.mark.parametrize("n, nj", [(1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+@pytest.mark.parametrize("utility", [
+    UtilitySpec(), UtilitySpec("log1p"), UtilitySpec("power", 0.5),
+    UtilitySpec("power", 0.7)], ids=["identity", "log1p", "power0.5", "power0.7"])
+def test_is_hybrid_nash_matches_row_loop(n, nj, utility):
+    rng = np.random.default_rng(100 * n + nj)
+    gain = rng.uniform(0.1, 0.3, (n, nj))
+    gain[np.arange(n), np.arange(n) % nj] = rng.uniform(0.55, 0.7, n)
+    scaled = UtilitySpec(utility.family, utility.gamma, rng.uniform(0.5, 2.0, n))
+    res = 0.1 if n == 4 else 0.05
+    for util in (utility, scaled):
+        s = HybridScenario(np.ones((n, nj)), gain, 0.01, "2", util)
+        for alpha, mix in oracle_profiles(s, rng):
+            got = is_hybrid_nash(s, alpha, mix, 1e-3, res)
+            want = row_loop_verdict(s, alpha, mix, 1e-3, res)
+            assert (got.ok, got.user, got.gain, got.deviation_alpha) == \
+                (want.ok, want.user, want.gain, want.deviation_alpha)
+            assert (got.deviation_mix is None) == (want.deviation_mix is None)
+            if want.deviation_mix is not None:
+                assert np.array_equal(got.deviation_mix, want.deviation_mix)

@@ -6,7 +6,7 @@ import pytest
 
 from macgame.capacity import ScenarioError
 from macgame.cli import main
-from macgame.hybrid_game import receiver_capacity
+from macgame.hybrid_game import potential_psi, receiver_capacity
 from macgame.scenario_io import parse_doc, parse_scenario, run
 
 
@@ -189,6 +189,19 @@ class TestRunHybridAnalyzeVerify:
         report = run(parse_doc(bad))
         assert report.verdicts["profile_is_hybrid_nash"] is False
 
+    def test_cop_corner_trap_is_certified(self):
+        # solve_cop alone ends on the corner mix ((0,0,1), (0,1,0)) at
+        # potential 4.8225, where user 1 gains 0.1377 by moving
+        gain = np.random.default_rng(139).uniform(0.1, 0.3, (2, 3)).tolist()
+        doc = dict(self.BASE, task="analyze", gain=gain, utility={"family": "log1p"})
+        report = run(parse_doc(doc))
+        assert report.verdicts["cop_profile_nash"] is True
+        assert report.metrics["better_response_rounds"] >= 1
+        assert report.metrics["potential_value"] > 4.8225 + 1e-3
+        sc = parse_doc(doc).scenario
+        assert report.metrics["potential_value"] == potential_psi(
+            sc, report.metrics["alpha"], report.metrics["mix"])
+
 
 def test_shipped_demo_scenarios_parse():
     root = __import__("pathlib").Path(__file__).resolve().parents[1] / "scenarios"
@@ -278,6 +291,12 @@ class TestCli:
         ("hybrid", "simulate", "mu_bar", float("nan")),
         ("hybrid", "simulate", "gate_switching", 0),
         ("hybrid", "verify", "dev_resolution", None),
+        ("hybrid", "analyze", "dev_resolution", -0.5),
+        ("hybrid", "simulate", "dev_resolution", 5.0),
+        ("hybrid", "verify", "dev_resolution", 0.0),
+        ("hybrid", "verify", "dev_resolution", 1e-4),
+        ("hybrid", "analyze", "nash_tol", 0.0),
+        ("hybrid", "verify", "nash_tol", -1e-3),
     ])
     def test_bad_task_block_value_exit_two(self, tmp_path, capsys, kind, task, key, value):
         blocks = {
@@ -299,6 +318,40 @@ class TestCli:
         assert main([task, str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"{task}." in err and key in err
+
+    @pytest.mark.parametrize("kind, task, block, key", [
+        ("hybrid", "verify", {"profile": {"alpha": ["abc", 1], "mix": [[1, 0, 0], [0, 1, 0]]}},
+         "verify.profile.alpha"),
+        ("hybrid", "verify", {"profile": {"alpha": [0.2, 0.1, 0.3],
+                                          "mix": [[1, 0, 0], [0, 1, 0]]}}, "verify.profile.alpha"),
+        ("hybrid", "verify", {"profile": {"alpha": [0.2, 0.1], "mix": [[1, 0, 0]]}},
+         "verify.profile.mix"),
+        ("hybrid", "verify", {"profile": {"alpha": [0.2, 0.1], "mix": [1, 0, 0, 0, 1, 0]}},
+         "verify.profile.mix"),
+        ("hybrid", "verify", {"profile": [0.2, 0.1]}, "verify.profile"),
+        ("single_receiver", "verify", {"profile": [3.0, "x", 3.0]}, "verify.profile"),
+        ("single_receiver", "verify", {"profile": [3.0, 3.0]}, "verify.profile"),
+        ("single_receiver", "verify", {"device": {"profiles": [[1, 1, 1], [2, 2]],
+                                                  "weights": [0.5, 0.5]}}, "verify.device.profiles"),
+        ("single_receiver", "verify", {"device": {"profiles": "abc", "weights": [1.0]}},
+         "verify.device.profiles"),
+        ("single_receiver", "verify", {"device": {"profiles": [[1, 1, 1]], "weights": [0.5, 0.5]}},
+         "verify.device.weights"),
+        ("single_receiver", "verify", {"device": {"profiles": [[1, 1, 1]], "weights": [float("nan")]}},
+         "verify.device.weights"),
+        ("single_receiver", "simulate", {"grid_points": 3, "dt": 0.01, "t_end": 0.1,
+                                         "initial": {"masses": [0.5, 0.5]}}, "simulate.initial.masses"),
+        ("single_receiver", "simulate", {"grid_points": 3, "dt": 0.01, "t_end": 0.1,
+                                         "initial": {"masses": [0.5, "x", 0.5]}},
+         "simulate.initial.masses"),
+    ])
+    def test_bad_profile_array_exit_two(self, tmp_path, capsys, kind, task, block, key):
+        base = HYBRID_EXAMPLE if kind == "hybrid" else MINIMAL_SINGLE
+        doc = {k: v for k, v in base.items() if k != "simulate"}
+        doc.update(task=task, **{task: block})
+        path = write(tmp_path, "bad.json", doc)
+        assert main([task, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
 
     def test_companion_table_over_the_cap_exit_two(self, tmp_path, capsys):
         doc = dict(MINIMAL_SINGLE, task="simulate", users=6,

@@ -238,6 +238,13 @@ class TestEfficiencyMetrics:
         m = efficiency_metrics(g)
         assert m["spoa"] == pytest.approx(expected_worst / opt, rel=1e-9)
 
+    def test_reports_the_social_optimum(self):
+        s = SingleReceiverScenario(np.array([30.0, 5.0, 12.0]), np.ones(3), 0.2)
+        for util in (UtilitySpec(), UtilitySpec("identity", scale=np.array([1.0, 3.0, 2.0])),
+                     UtilitySpec("log1p"), UtilitySpec("power", 0.5)):
+            g = make_game(s, util)
+            assert efficiency_metrics(g)["social_optimum"] == social_optimum(g)[1]
+
 
 def active_set_vertices(game):
     """Reference maximal-face vertices: solve every system of the
