@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -25,7 +25,55 @@ LOG_BASES = ("2", "e")
 
 
 class ScenarioError(ValueError):
-    """Invalid scenario parameters or oversized enumeration."""
+    """Invalid scenario parameters or oversized enumeration.
+
+    key is the path of the offending input, when known; it leads the message.
+    """
+
+    def __init__(self, message: str, key: str = ""):
+        super().__init__(f"{key}: {message}" if key else message)
+        self.message, self.key = message, key
+
+    def at(self, prefix: str) -> "ScenarioError":
+        """The same error with prefix put in front of its key."""
+        return ScenarioError(self.message, f"{prefix}.{self.key}" if self.key else prefix)
+
+
+def check_array(value, shape: tuple, name: str, nonneg: bool = False,
+                positive: bool = False, row_tol: Optional[float] = None) -> np.ndarray:
+    """The one input checker: value as a finite float array of exactly shape.
+
+    A None in shape matches any length >= 1; nothing is broadcast. nonneg
+    asks every entry to be >= -1e-12, positive every entry > 0, and row_tol
+    every row (the last axis) to sum to one within row_tol. Every message
+    starts with name.
+    """
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:     # ragged nesting
+        raise ScenarioError(f"not a numeric array ({exc})", name) from None
+    if arr.dtype.kind not in "iuf":
+        raise ScenarioError(f"must be numbers, got {value!r:.60}", name)
+    arr = arr.astype(float, copy=False)
+    if arr.shape != shape and (arr.ndim != len(shape) or any(
+            s == 0 if d is None else s != d for d, s in zip(shape, arr.shape))):
+        raise ScenarioError(f"shape {arr.shape}, expected {shape}", name)
+    if not np.isfinite(arr).all():
+        raise ScenarioError("entries must be finite", name)
+    if nonneg and (arr < -1e-12).any():
+        raise ScenarioError("entries must be nonnegative", name)
+    if positive and (arr <= 0.0).any():
+        raise ScenarioError("entries must be positive", name)
+    if row_tol is not None and (np.abs(arr.sum(axis=-1) - 1.0) > row_tol).any():
+        raise ScenarioError("rows must sum to one", name)
+    return arr
+
+
+def _check_snr(power: np.ndarray, gain: np.ndarray, noise: float) -> None:
+    """Every receiver's SNR sum, the argument of its largest bound, must be finite."""
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite((power * gain / noise).sum(axis=0))):
+            raise ScenarioError("power * gain / noise overflows at a receiver")
 
 
 def _log_scale(log_base: str) -> float:
@@ -33,7 +81,7 @@ def _log_scale(log_base: str) -> float:
         return math.log(2.0)
     if log_base == "e":
         return 1.0
-    raise ScenarioError(f"log_base must be one of {LOG_BASES}, got {log_base!r}")
+    raise ScenarioError(f"must be one of {LOG_BASES}, got {log_base!r}", "log_base")
 
 
 @dataclass(frozen=True)
@@ -51,14 +99,10 @@ class SingleReceiverScenario:
     log_base: str = "2"
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.power, dtype=float))
-        h = np.atleast_1d(np.asarray(self.gain, dtype=float))
-        if p.shape != h.shape or p.ndim != 1 or p.size == 0:
-            raise ScenarioError("power and gain must be 1-D arrays of equal length")
-        if not (np.all(p > 0) and np.all(h > 0)):
-            raise ScenarioError("power and gain entries must be positive")
-        if not self.noise > 0:
-            raise ScenarioError("noise variance must be positive")
+        p = check_array(self.power, (None,), "power", positive=True)
+        h = check_array(self.gain, p.shape, "gain", positive=True)
+        object.__setattr__(self, "noise", float(check_array(self.noise, (), "noise", positive=True)))
+        _check_snr(p, h, self.noise)
         _log_scale(self.log_base)
         p.setflags(write=False)
         h.setflags(write=False)
@@ -177,19 +221,9 @@ def build_region(scenario: SingleReceiverScenario) -> CapacityRegion:
     return CapacityRegion(scenario.region_bounds, scenario.n_users, scenario.log_base)
 
 
-def as_rates(rates, n_users: int) -> np.ndarray:
-    """Validate and convert a rate profile to a float array of length n_users."""
-    a = np.atleast_1d(np.asarray(rates, dtype=float))
-    if a.shape != (n_users,):
-        raise ScenarioError(f"rate profile has shape {a.shape}, expected ({n_users},)")
-    if not np.all(np.isfinite(a)):
-        raise ScenarioError("rate profile entries must be finite")
-    return a
-
-
 def contains(region: CapacityRegion, rates, tol: float = 1e-9) -> bool:
     """Membership test: rates >= 0 and every coalition bound holds within tol."""
-    a = as_rates(rates, region.n_users)
+    a = check_array(rates, (region.n_users,), "rates")
     if np.any(a < -tol):
         return False
     return bool(np.all(region.table.member @ a <= region.bounds[1:] + tol))
@@ -227,7 +261,7 @@ def on_max_face(region: CapacityRegion, scenario: SingleReceiverScenario,
     floor is implied by the sum condition; it is kept as an explicit guard for
     near-boundary inputs.
     """
-    a = as_rates(rates, region.n_users)
+    a = check_array(rates, (region.n_users,), "rates")
     if not contains(region, a, tol):
         return False
     if abs(float(a.sum()) - region.sum_capacity) > tol:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .capacity import ScenarioError
 from .numerics import NumericsError
-from .scenario_io import parse_doc, parse_scenario, run
+from .scenario_io import load_doc, parse_doc, run
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
@@ -45,19 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_one(path: str, args) -> int:
     try:
-        sf = parse_scenario(path)
-        if args.seed is not None or args.log_base is not None or args.tol is not None:
-            doc = dict(sf.canonical)
-            if args.seed is not None:
-                doc["seed"] = args.seed
-            if args.log_base is not None:
-                doc["log_base"] = args.log_base
-            if args.tol is not None:
-                doc["tol"] = args.tol
-            sf = parse_doc(doc, path)
+        doc = load_doc(path)
+        overrides = {"seed": args.seed, "log_base": args.log_base, "tol": args.tol}
+        if isinstance(doc, dict):
+            doc.update({key: value for key, value in overrides.items() if value is not None})
+        sf = parse_doc(doc, path)
         if sf.task != args.command:
-            raise ScenarioError(
-                f"{path}: scenario task {sf.task!r} does not match command {args.command!r}")
+            raise ScenarioError(f"{sf.task!r} does not match command {args.command!r}",
+                                f"{path}.task")
         out_dir = None
         if args.command == "simulate":
             base = Path(args.out) if args.out else Path("macgame_out")

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import ScenarioError, contains
+from .capacity import ScenarioError, check_array, contains
 from .static_game import StaticGame, is_nash
 
 MERGE_TOL = 1e-12
@@ -30,14 +30,9 @@ class CorrelatedDevice:
     weights: np.ndarray    # (atoms,)
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.profiles, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if p.shape[0] != w.size or p.shape[0] == 0:
-            raise ScenarioError("need one weight per support profile")
-        if np.any(w <= 0):
-            raise ScenarioError("weights must be positive")
-        if abs(float(w.sum()) - 1.0) > MERGE_TOL * max(1, w.size):
-            raise ScenarioError("weights must sum to one")
+        p = check_array(self.profiles, (None, None), "profiles")
+        w = check_array(self.weights, p.shape[:1], "weights", positive=True,
+                        row_tol=MERGE_TOL * p.shape[0])
         p, w = _merge_duplicates(p, w)
         p.setflags(write=False)
         w.setflags(write=False)
@@ -70,7 +65,7 @@ def mixture_of_nash(game: StaticGame, profiles, weights,
                     tol: float = 1e-9) -> CorrelatedDevice:
     """Device supported on verified pure Nash profiles; such mixtures are
     always constrained correlated equilibria."""
-    p = np.atleast_2d(np.asarray(profiles, dtype=float))
+    p = check_array(profiles, (None, game.n_users), "profiles")
     for k in range(p.shape[0]):
         if not is_nash(game, p[k], tol):
             raise ScenarioError(f"support profile {k} is not a Nash equilibrium")

@@ -30,10 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import ScenarioError
+from .capacity import ScenarioError, check_array
 from .hybrid_game import (
     HybridScenario,
-    as_mix,
     _feasible_unchecked,
     receiver_sum_capacities,
     single_user_caps,
@@ -55,13 +54,14 @@ class HybridDynConfig:
     gate_switching: bool = True
 
     def __post_init__(self):
-        if self.theta < 1.0:
-            raise ScenarioError("theta must be at least 1")
+        if not self.theta >= 1.0:
+            raise ScenarioError(f"must be at least 1, got {self.theta!r}", "theta")
         if not self.mu_bar > 0:
-            raise ScenarioError("mu_bar must be positive")
+            raise ScenarioError(f"must be positive, got {self.mu_bar!r}", "mu_bar")
         self.integrator  # validates dt, t_end and sample_every
         if self.channel_fitness not in FITNESS_FIELDS:
-            raise ScenarioError(f"channel_fitness must be one of {FITNESS_FIELDS}")
+            raise ScenarioError(f"must be one of {FITNESS_FIELDS}, got {self.channel_fitness!r}",
+                                "channel_fitness")
 
     @property
     def integrator(self) -> IntegratorConfig:
@@ -75,13 +75,8 @@ class HybridState:
     time: float = 0.0
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.mix, dtype=float))
-        b = np.atleast_2d(np.asarray(self.beta, dtype=float))
-        if p.shape != b.shape:
-            raise ScenarioError("mix and beta must have identical shapes")
-        as_mix(p, p.shape[0], p.shape[1])
-        if np.any(b < -1e-12):
-            raise ScenarioError("beta entries must be nonnegative")
+        p = check_array(self.mix, (None, None), "mix", nonneg=True, row_tol=1e-9)
+        b = check_array(self.beta, p.shape, "beta", nonneg=True)
         p.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "mix", p)

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import MAX_USERS, ScenarioError, _log_scale, coalition_members, coalition_table
+from .capacity import (MAX_USERS, ScenarioError, _check_snr, _log_scale, check_array,
+                       coalition_members, coalition_table)
 from .numerics import project_simplex
 from .static_game import UtilitySpec
 
@@ -38,14 +39,10 @@ class HybridScenario:
     utility: UtilitySpec = UtilitySpec()
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.power, dtype=float))
-        h = np.atleast_2d(np.asarray(self.gain, dtype=float))
-        if p.shape != h.shape or p.ndim != 2 or p.size == 0:
-            raise ScenarioError("power and gain must be N x J arrays of equal shape")
-        if not (np.all(p > 0) and np.all(h > 0)):
-            raise ScenarioError("power and gain entries must be positive")
-        if not self.noise > 0:
-            raise ScenarioError("noise variance must be positive")
+        p = check_array(self.power, (None, None), "power", positive=True)
+        h = check_array(self.gain, p.shape, "gain", positive=True)
+        object.__setattr__(self, "noise", float(check_array(self.noise, (), "noise", positive=True)))
+        _check_snr(p, h, self.noise)
         if p.shape[0] > MAX_USERS:
             raise ScenarioError(f"user count exceeds the enumeration guard ({MAX_USERS})")
         _log_scale(self.log_base)
@@ -133,25 +130,12 @@ def hybrid_safe_rate(scenario: HybridScenario, i: int, j: int, omega: int) -> fl
     return math.log1p(terms[i] / (scenario.noise + interference)) / scenario.log_scale
 
 
-def as_mix(mix, n_users: int, n_receivers: int, tol: float = 1e-9) -> np.ndarray:
-    """Validate a row-stochastic selection matrix."""
-    p = np.atleast_2d(np.asarray(mix, dtype=float))
-    if p.shape != (n_users, n_receivers):
-        raise ScenarioError(f"mix has shape {p.shape}, expected ({n_users}, {n_receivers})")
-    if np.any(p < -1e-12):
-        raise ScenarioError("mix entries must be nonnegative")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > tol):
-        raise ScenarioError("mix rows must sum to one")
-    return p
-
-
-def as_alpha(alpha, n_users: int) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if a.shape != (n_users,):
-        raise ScenarioError(f"alpha has shape {a.shape}, expected ({n_users},)")
-    if np.any(a < -1e-12) or not np.all(np.isfinite(a)):
-        raise ScenarioError("alpha entries must be finite and nonnegative")
-    return a
+def _checked(scenario: HybridScenario, alpha, mix,
+             tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and mix in the scenario's shapes, alpha >= 0 and mix rows on the simplex."""
+    n = scenario.n_users
+    return (check_array(alpha, (n,), "alpha", nonneg=True),
+            check_array(mix, (n, scenario.n_receivers), "mix", nonneg=True, row_tol=tol))
 
 
 @dataclass(frozen=True)
@@ -160,10 +144,8 @@ class HybridProfile:
     mix: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        p = np.atleast_2d(np.asarray(self.mix, dtype=float))
-        a = as_alpha(a, a.size)
-        p = as_mix(p, a.size, p.shape[1])
+        a = check_array(self.alpha, (None,), "alpha", nonneg=True)
+        p = check_array(self.mix, (a.size, None), "mix", nonneg=True, row_tol=1e-9)
         a.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "alpha", a)
@@ -178,9 +160,7 @@ class HybridProfile:
 def hybrid_feasible(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> bool:
     """True when every receiver's coalition bounds hold for the effective
     rates: sum_{i in Omega} alpha_i p_ij <= C_{j,Omega} for all j, Omega."""
-    a = as_alpha(alpha, scenario.n_users)
-    p = as_mix(mix, scenario.n_users, scenario.n_receivers, tol=max(tol, 1e-9))
-    return _feasible_unchecked(scenario, a, p, tol)
+    return _feasible_unchecked(scenario, *_checked(scenario, alpha, mix, max(tol, 1e-9)), tol)
 
 
 def _feasible_unchecked(scenario: HybridScenario, a: np.ndarray, p: np.ndarray,
@@ -192,8 +172,7 @@ def _feasible_unchecked(scenario: HybridScenario, a: np.ndarray, p: np.ndarray,
 def expected_payoff(scenario: HybridScenario, alpha, mix, i: int,
                     tol: float = 1e-9) -> float:
     """sum_j p_ij g_i(alpha_i p_ij), zero when the profile is infeasible."""
-    a = as_alpha(alpha, scenario.n_users)
-    p = as_mix(mix, scenario.n_users, scenario.n_receivers, tol=max(tol, 1e-9))
+    a, p = _checked(scenario, alpha, mix, max(tol, 1e-9))
     if not _feasible_unchecked(scenario, a, p, tol):
         return 0.0
     return float(np.sum(p[i] * scenario.g(i, a[i] * p[i])))
@@ -217,10 +196,8 @@ def best_response_split(scenario: HybridScenario, i: int, j: int,
     returned with the feasibility flag cleared.
     """
     n = scenario.n_users
-    a = np.atleast_1d(np.asarray(others_alpha, dtype=float))
-    p = np.atleast_2d(np.asarray(others_mix, dtype=float))
-    if a.shape != (n,) or p.shape != (n, scenario.n_receivers):
-        raise ScenarioError("opponent rates and mix must cover all users; entry i is ignored")
+    a = check_array(others_alpha, (n,), "others_alpha")
+    p = check_array(others_mix, (n, scenario.n_receivers), "others_mix")
     member, caps = region_tables(scenario)
     loads = a * p[:, j]
     loads[i] = 0.0
@@ -253,9 +230,7 @@ def best_receiver_set(scenario: HybridScenario, i: int, beta_row,
     winner. Under ties every mix supported on the argmax set is a best reply;
     the uniform representative is returned and alpha sums the tied splits.
     """
-    beta = np.atleast_1d(np.asarray(beta_row, dtype=float))
-    if beta.shape != (scenario.n_receivers,):
-        raise ScenarioError("beta row length must equal the receiver count")
+    beta = check_array(beta_row, (scenario.n_receivers,), "beta_row")
     values = np.asarray(scenario.g(i, np.maximum(beta, 0.0)), dtype=float)
     best = float(values.max())
     members = tuple(int(j) for j in range(values.size) if values[j] >= best - tie_tol)
@@ -269,8 +244,10 @@ def best_receiver_set(scenario: HybridScenario, i: int, beta_row,
 
 def potential_psi(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> float:
     """Exact potential: total expected utility, -inf when infeasible."""
-    a = as_alpha(alpha, scenario.n_users)
-    p = as_mix(mix, scenario.n_users, scenario.n_receivers, tol=max(tol, 1e-9))
+    return _psi(scenario, *_checked(scenario, alpha, mix, max(tol, 1e-9)), tol)
+
+
+def _psi(scenario: HybridScenario, a: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float:
     if not _feasible_unchecked(scenario, a, p, tol):
         return -math.inf
     return float(np.sum(p * scenario.g(scenario.users, a[:, None] * p), axis=1).sum())
@@ -287,13 +264,13 @@ def grid_denominator(n_receivers: int, resolution: float) -> int:
     rows, would exceed MAX_SIMPLEX_ROWS.
     """
     if not 0.0 < resolution <= 1.0:
-        raise ScenarioError(f"dev_resolution must lie in (0, 1], got {resolution!r}")
+        raise ScenarioError(f"must lie in (0, 1], got {resolution!r}", "dev_resolution")
     # past the cap m only matters for a single receiver, whose grid is one row
     m = max(int(round(min(1.0 / resolution, MAX_SIMPLEX_ROWS))), 1)
     rows = math.comb(m + n_receivers - 1, n_receivers - 1)
     if rows > MAX_SIMPLEX_ROWS:
-        raise ScenarioError(f"dev_resolution={resolution} gives {rows} simplex rows over "
-                            f"{n_receivers} receivers, above the cap {MAX_SIMPLEX_ROWS}")
+        raise ScenarioError(f"{resolution} gives {rows} simplex rows over {n_receivers} "
+                            f"receivers, above the cap {MAX_SIMPLEX_ROWS}", "dev_resolution")
     return m
 
 
@@ -345,14 +322,14 @@ def is_hybrid_nash(scenario: HybridScenario, alpha, mix, tol: float = 1e-3,
     with the inequality itself, so division rounding cannot move it. The
     witness is the first row with the largest gain.
     """
-    a = as_alpha(alpha, scenario.n_users)
-    p = as_mix(mix, scenario.n_users, scenario.n_receivers)
+    a, p = _checked(scenario, alpha, mix)
     if not _feasible_unchecked(scenario, a, p, tol=1e-9):
         return HybridNashVerdict(False, gain=math.inf)
     simplex = _simplex_grid(scenario.n_receivers, dev_resolution)
     beta = a[:, None] * p
     member, caps = region_tables(scenario)
     rate_his = single_user_caps(scenario).sum(axis=1)
+    own = np.sum(p * scenario.g(scenario.users, beta), axis=1)
     for i in range(scenario.n_users):
         # opponents' load and the bound of every coalition containing i
         with_i = member[:, i] > 0.0
@@ -374,7 +351,7 @@ def is_hybrid_nash(scenario: HybridScenario, alpha, mix, tol: float = 1e-3,
             ok &= np.all(trial + load_m <= cap_m, axis=2)
         k = np.where(ok[:, 1], pair[:, 1], np.where(ok[:, 0], k, k - 1))
         vals = np.sum(simplex * scenario.g(i, rates[k][:, None] * simplex), axis=1)
-        gains = vals - expected_payoff(scenario, a, p, i)
+        gains = vals - own[i]
         row = int(np.argmax(gains))
         if gains[row] > tol:
             return HybridNashVerdict(False, i, float(gains[row]), float(rates[k[row]]),
@@ -413,9 +390,12 @@ def ascend_potential(scenario: HybridScenario, alpha, mix, max_iter: int = 400,
     (alpha, mix, potential). When a list is passed as trace, the starting
     and every accepted potential value are appended to it in order.
     """
-    n = scenario.n_users
-    a, p = np.asarray(alpha, dtype=float), np.asarray(mix, dtype=float)
-    val = potential_psi(scenario, a, p)
+    return _ascend(scenario, *_checked(scenario, alpha, mix), max_iter, trace)
+
+
+def _ascend(scenario: HybridScenario, a: np.ndarray, p: np.ndarray, max_iter: int,
+            trace: Optional[list]) -> tuple[np.ndarray, np.ndarray, float]:
+    val = _psi(scenario, a, p)
     if trace is not None:
         trace.append(val)
     step = 1.0
@@ -428,9 +408,9 @@ def ascend_potential(scenario: HybridScenario, alpha, mix, max_iter: int = 400,
         trial = step
         for _ in range(50):
             a_new = a + trial * ga
-            p_new = np.vstack([project_simplex(p[i] + trial * gp[i]) for i in range(n)])
+            p_new = project_simplex(p + trial * gp)
             a_new = _clip_alpha(scenario, a_new, p_new)
-            v_new = potential_psi(scenario, a_new, p_new)
+            v_new = _psi(scenario, a_new, p_new)
             if v_new > val + 1e-14:
                 a, p, val = a_new, p_new, v_new
                 if trace is not None:
@@ -463,7 +443,7 @@ def solve_cop(scenario: HybridScenario, n_starts: int = 16,
     for _ in range(n_starts):
         p = rng.dirichlet(np.ones(nj), size=n)
         a = rng.uniform(0.0, single_caps.min(axis=1))
-        a, p, val = ascend_potential(scenario, _clip_alpha(scenario, a, p), p, max_iter, trace)
+        a, p, val = _ascend(scenario, _clip_alpha(scenario, a, p), p, max_iter, trace)
         if val > best_val + 1e-15:
             best_val = val
             best = (a.copy(), p.copy())

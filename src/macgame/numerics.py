@@ -30,13 +30,13 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ScenarioError("dt must be positive")
+            raise ScenarioError(f"must be positive, got {self.dt!r}", "dt")
         if not self.t_end > 0:
-            raise ScenarioError("t_end must be positive")
+            raise ScenarioError(f"must be positive, got {self.t_end!r}", "t_end")
         if self.dt > self.t_end:
-            raise ScenarioError("dt must not exceed t_end")
+            raise ScenarioError(f"must not exceed t_end={self.t_end!r}", "dt")
         if self.sample_every < 1:
-            raise ScenarioError("sample_every must be >= 1")
+            raise ScenarioError(f"must be >= 1, got {self.sample_every!r}", "sample_every")
 
     @property
     def n_steps(self) -> int:
@@ -125,19 +125,20 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
     raise NumericsError(f"bisect: no convergence in {max_iter} iterations on [{lo}, {hi}]")
 
 
-def project_simplex(row: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex {x >= 0, sum x = 1}.
+def project_simplex(rows: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row (last axis) onto the unit simplex
+    {x >= 0, sum x = 1}.
 
     Non-iterative sort-based rule; idempotent and order preserving.
     """
-    v = np.asarray(row, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("project_simplex expects a nonempty 1-D array")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / ks > 0.0
-    rho = np.nonzero(cond)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
+    v = np.asarray(rows, dtype=float)
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("project_simplex expects rows of at least one entry")
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    cond = u + (1.0 - css) / np.arange(1, v.shape[-1] + 1) > 0.0
+    # rho is the last index where cond holds: the first one of the reversed row
+    rho = v.shape[-1] - 1 - np.argmax(cond[..., ::-1], axis=-1)[..., None]
+    lam = (1.0 - np.take_along_axis(css, rho, axis=-1)) / (rho + 1.0)
     return np.maximum(v + lam, 0.0)
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import ScenarioError
+from .capacity import ScenarioError, check_array
 from .numerics import IntegratorConfig, integrate, write_csv
 from .static_game import StaticGame
 
@@ -84,28 +84,19 @@ class ActionGrid:
     def for_game(cls, game: StaticGame, n_points: int,
                  include_equilibrium: bool = False) -> "ActionGrid":
         """Action space [0, C_{1}] of the symmetric game; optionally anchors
-        the symmetric equilibrium rate C_N / N on the grid."""
+        the symmetric equilibrium rate C_N / N on the grid. A grid whose
+        companion table would exceed the cap is refused before it is filled."""
+        _table_guard(game.n_users, n_points)
         hi = game.region.bound(1)
         include = game.region.sum_capacity / game.n_users if include_equilibrium else None
         return cls.uniform(hi, n_points, include)
-
-
-def as_state(mass, n_points: int, tol: float = 1e-9) -> np.ndarray:
-    lam = np.atleast_1d(np.asarray(mass, dtype=float))
-    if lam.shape != (n_points,):
-        raise ScenarioError(f"state has shape {lam.shape}, expected ({n_points},)")
-    if np.any(lam < -1e-12):
-        raise ScenarioError("state masses must be nonnegative")
-    if abs(float(lam.sum()) - 1.0) > tol:
-        raise ScenarioError("state masses must sum to one")
-    return lam
 
 
 def dirac_state(grid: ActionGrid, at: float) -> np.ndarray:
     """Unit mass on the grid node equal to `at` (must be a node)."""
     idx = int(np.argmin(np.abs(grid.points - at)))
     if abs(grid.points[idx] - at) > 1e-9 * max(1.0, abs(at)):
-        raise ScenarioError(f"{at} is not a grid node; nearest is {grid.points[idx]}")
+        raise ScenarioError(f"{at} is not a grid node; nearest is {grid.points[idx]}", "dirac_at")
     lam = np.zeros(grid.n_points)
     lam[idx] = 1.0
     return lam
@@ -125,13 +116,14 @@ class RevisionProtocol:
 
     def __post_init__(self):
         if self.kind not in PROTOCOL_KINDS:
-            raise ScenarioError(f"unknown protocol kind {self.kind!r}")
-        if self.kind == "smith" and self.theta < 1.0:
-            raise ScenarioError("smith protocol requires theta >= 1")
+            raise ScenarioError(f"unknown kind {self.kind!r}, expected one of {PROTOCOL_KINDS}",
+                                "protocol")
+        if self.kind == "smith" and not self.theta >= 1.0:
+            raise ScenarioError(f"smith protocol requires theta >= 1, got {self.theta!r}", "theta")
         if self.kind != "smith" and self.theta != 1.0:
-            raise ScenarioError("theta is only meaningful for the smith protocol")
+            raise ScenarioError("only meaningful for the smith protocol", "theta")
         if not self.growth > 0:
-            raise ScenarioError("growth rate must be positive")
+            raise ScenarioError(f"must be positive, got {self.growth!r}", "growth")
 
 
 class PopulationModel:
@@ -150,11 +142,7 @@ class PopulationModel:
             raise ScenarioError("population dynamics require a symmetric scenario")
         if game.utility.scale is not None and np.ptp(game.utility.scale) != 0.0:
             raise ScenarioError("population dynamics require a shared utility")
-        n, g = game.n_users, grid.n_points
-        if g ** max(n - 1, 1) > MAX_TABLE_ENTRIES:
-            raise ScenarioError(f"users={n} with grid_points={g} needs a companion table "
-                                f"of {g}^{max(n - 1, 1)} entries, over the cap of "
-                                f"{MAX_TABLE_ENTRIES}")
+        _table_guard(game.n_users, grid.n_points)
         self.game = game
         self.grid = grid
         self.sum_capacity = game.region.sum_capacity
@@ -171,6 +159,13 @@ class PopulationModel:
         for _ in range(self.game.n_users - 2):
             nu = nu @ lam
         return nu
+
+
+def _table_guard(n: int, g: int) -> None:
+    if g ** max(n - 1, 1) > MAX_TABLE_ENTRIES:
+        raise ScenarioError(f"users={n} with grid_points={g} needs a companion table of "
+                            f"{g}^{max(n - 1, 1)} entries, over the cap of {MAX_TABLE_ENTRIES}",
+                            "grid_points")
 
 
 def _companion_counts(region, points: np.ndarray) -> np.ndarray:
@@ -196,8 +191,13 @@ def _companion_counts(region, points: np.ndarray) -> np.ndarray:
     return counts.reshape((g,) * (n - 1))
 
 
+def _state(mass, grid: ActionGrid) -> np.ndarray:
+    """A population state: nonnegative masses on the grid that sum to one."""
+    return check_array(mass, (grid.n_points,), "state", nonneg=True, row_tol=1e-9)
+
+
 def mean_rate(mass, grid: ActionGrid) -> float:
-    lam = as_state(mass, grid.n_points)
+    lam = _state(mass, grid)
     return float(grid.points @ lam)
 
 
@@ -211,7 +211,7 @@ def in_mixed_region(mass, model: PopulationModel, tol: float = 1e-9) -> bool:
 
 def fitness_vector(model: PopulationModel, mass) -> np.ndarray:
     """F(a, mu) on every grid node: feasibility-gated payoff times nu(D_a)."""
-    return _fitness(model, as_state(mass, model.grid.n_points))
+    return _fitness(model, _state(mass, model.grid))
 
 
 def _fitness(model: PopulationModel, lam: np.ndarray) -> np.ndarray:
@@ -261,7 +261,7 @@ def mean_dynamics_rhs(mass, protocol: RevisionProtocol,
     total mass derivative is zero. The whole field is gated to zero when the
     state leaves the mixed capacity region.
     """
-    lam = as_state(mass, model.grid.n_points)
+    lam = _state(mass, model.grid)
     return _rhs_unchecked(lam, protocol, model, tol)
 
 
@@ -309,7 +309,7 @@ def simulate(mass0, protocol: RevisionProtocol, model: PopulationModel,
         return lam.copy(), float(model.grid.points @ lam), float(np.abs(rhs(lam)).max())
 
     times, samples, max_clip, max_drift = integrate(
-        rhs, as_state(mass0, model.grid.n_points).copy(), config, project, sample,
+        rhs, _state(mass0, model.grid).copy(), config, project, sample,
         max_drift=1e-3)
     masses, means, residuals = zip(*samples)
     return PopulationTrajectory(

@@ -1,10 +1,12 @@
 """Scenario files, run orchestration, and deterministic result serialization.
 
 Scenarios are JSON documents with a kind (single_receiver or hybrid), a task
-(analyze, simulate, verify) and task-specific blocks. Parsing is strict:
-unknown keys are rejected with their path. Reports and trajectory CSVs are
-byte-deterministic for a fixed scenario and seed; volatile data such as wall
-clock time never enters the written artifacts.
+(analyze, simulate, verify) and task-specific blocks. Parsing is strict: it
+checks every array with capacity.check_array at its exact shape, builds every
+object a run reads, and each ScenarioError names the JSON key path of the bad
+value. Reports and trajectory CSVs are byte-deterministic for a fixed
+scenario and seed; volatile data such as wall clock time never enters the
+written artifacts.
 """
 
 from __future__ import annotations
@@ -13,38 +15,53 @@ import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from . import correlated, hybrid_dynamics, hybrid_game, population, static_game
-from .capacity import ScenarioError, SingleReceiverScenario, coalition_members, coalitions, contains, safe_rates_full
+from .capacity import (MAX_USERS, ScenarioError, SingleReceiverScenario, check_array,
+                       coalition_members, coalitions, contains, safe_rates_full)
 from .hybrid_dynamics import HybridDynConfig, HybridState
-from .hybrid_game import HybridScenario
+from .hybrid_game import MAX_SIMPLEX_ROWS, HybridProfile, HybridScenario
 from .numerics import IntegratorConfig
+from .population import ActionGrid, RevisionProtocol
 from .static_game import StaticGame, UtilitySpec
 
 TASKS = ("analyze", "simulate", "verify")
 KINDS = ("single_receiver", "hybrid")
+_REQUIRED = {"kind", "task", "power", "gain", "noise"}
 
 
-def _expect(block: dict, path: str, allowed: set[str], required: set[str]) -> None:
+@contextmanager
+def _at(key: str):
+    """Put key in front of the path of any ScenarioError raised inside."""
+    try:
+        yield
+    except ScenarioError as exc:
+        raise exc.at(key) from None
+
+
+def _expect(block: dict, allowed: set[str], required: set[str]) -> None:
     unknown = set(block) - allowed
     if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ScenarioError(f"unknown keys {sorted(unknown)}")
     missing = required - set(block)
     if missing:
-        raise ScenarioError(f"{path}: missing required keys {sorted(missing)}")
+        raise ScenarioError(f"missing required keys {sorted(missing)}")
 
 
-def _utility_from(block: Optional[dict], path: str) -> UtilitySpec:
-    if block is None:
-        return UtilitySpec()
-    _expect(block, path, {"family", "gamma", "scale"}, {"family"})
-    return UtilitySpec(block["family"], block.get("gamma"),
-                       None if block.get("scale") is None else np.asarray(block["scale"], float))
+def _object(doc: dict, key: str, allowed: set[str], required: set[str], default=None) -> dict:
+    """The nested object doc[key], holding only allowed keys."""
+    sub = doc.get(key, default)
+    if not isinstance(sub, dict):
+        raise ScenarioError(f"must be an object, got {sub!r:.60}", key)
+    with _at(key):
+        _expect(sub, allowed, required)
+    return sub
 
 
 @dataclass
@@ -55,8 +72,9 @@ class ScenarioFile:
     utility: UtilitySpec
     seed: int
     tol: float
-    block: dict          # the task-specific block, validated, settings filled in
+    block: dict          # the task block: checked settings and the objects built from them
     canonical: dict      # canonical form for digesting / round-trips
+    path: str = "<scenario>"
 
     @property
     def digest(self) -> str:
@@ -64,13 +82,11 @@ class ScenarioFile:
         return hashlib.sha256(blob).hexdigest()
 
 
-_COMMON = {"kind", "task", "users", "power", "gain", "noise",
-           "log_base", "utility", "seed", "tol"}
-
 # Task blocks: (settings with their defaults, other allowed keys, required
 # keys). parse_doc reads every setting once, by the type of its default: a
 # bool must be a JSON boolean, an int an integer >= 1, a float a finite
-# number. The run helpers read the checked values from ScenarioFile.block.
+# number. The run helpers read the checked values and built objects from
+# ScenarioFile.block.
 _SINGLE_BLOCKS = {
     "analyze": ({}, {"tau"}, set()),
     "simulate": ({"grid_points": 101, "theta": 1.0, "growth": 1.0, "dt": 1e-2,
@@ -90,156 +106,152 @@ _HYBRID_BLOCKS = {
 }
 
 
-def _check_shape(value, shape: tuple, path: str, scalar_ok: bool = False) -> np.ndarray:
-    """A finite numeric array of exactly this shape; a scalar fills the shape
-    only where scalar_ok says so."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{path}: not a numeric array ({exc})") from exc
-    if scalar_ok and arr.ndim == 0:
-        arr = np.full(shape, float(arr))
-    if arr.shape != shape:
-        raise ScenarioError(f"{path}: shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ScenarioError(f"{path}: entries must be finite")
-    return arr
-
-
-def _sub_block(block: dict, key: str, path: str, keys: set[str]) -> dict:
-    """A nested object of a task block that must hold exactly these keys."""
-    sub = block[key]
-    if not isinstance(sub, dict):
-        raise ScenarioError(f"{path}.{key}: must be an object")
-    _expect(sub, f"{path}.{key}", keys, keys)
-    return sub
-
-
-def _integer(doc: dict, key: str, path: str, minimum: int = 1, default=None) -> int:
+def _integer(doc: dict, key: str, minimum: int = 1, maximum: float = math.inf,
+             default=None) -> int:
     value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ScenarioError(f"{path}.{key}: must be an integer >= {minimum}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+        raise ScenarioError(f"must be an integer in [{minimum}, {maximum}], got {value!r:.60}", key)
     return value
 
 
-def _finite(doc: dict, key: str, path: str, default=None) -> float:
-    value = doc.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if isinstance(value, (bool, str)) or not math.isfinite(number):
-        raise ScenarioError(f"{path}.{key}: must be a finite number, got {value!r}")
-    return number
-
-
-def _setting(block: dict, key: str, path: str, default):
-    if not isinstance(default, bool):
-        return (_integer if isinstance(default, int) else _finite)(block, key, path, default=default)
+def _setting(block: dict, key: str, default):
     value = block.get(key, default)
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{path}.{key}: must be true or false, got {value!r}")
-    return value
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ScenarioError(f"must be true or false, got {value!r:.60}", key)
+        return value
+    if isinstance(default, int):
+        return _integer(block, key, default=default)
+    return float(check_array(value, (), key))
+
+
+def _filled(doc: dict, key: str, shape: tuple) -> np.ndarray:
+    """doc[key] as an array of exactly this shape; one number fills it."""
+    value = doc[key]
+    if isinstance(value, list):
+        return check_array(value, shape, key)
+    return np.full(shape, check_array(value, (), key))
+
+
+def load_doc(path):
+    """The JSON document of a scenario file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid JSON ({exc})", str(path)) from None
 
 
 def parse_scenario(path) -> ScenarioFile:
     """Load and validate a scenario file, filling defaults."""
-    raw_text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(raw_text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_doc(doc, str(path))
+    return parse_doc(load_doc(path), str(path))
 
 
 def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
-    """Validate an already-loaded scenario document."""
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
-    kind = doc.get("kind")
-    task = doc.get("task")
-    if kind not in KINDS:
-        raise ScenarioError(f"{path}: kind must be one of {KINDS}")
-    if task not in TASKS:
-        raise ScenarioError(f"{path}: task must be one of {TASKS}")
+    """Validate an already-loaded scenario document and build every object a
+    run reads from it. Each ScenarioError names the key path of the bad value."""
+    with _at(path):
+        if not isinstance(doc, dict):
+            raise ScenarioError("top level must be an object")
+        kind, task = doc.get("kind"), doc.get("task")
+        if kind not in KINDS:
+            raise ScenarioError(f"must be one of {KINDS}, got {kind!r:.60}", "kind")
+        if task not in TASKS:
+            raise ScenarioError(f"must be one of {TASKS}, got {task!r:.60}", "task")
+        hybrid = kind == "hybrid"
+        sizes = {"users", "receivers"} if hybrid else {"users"}
+        _expect(doc, {"log_base", "utility", "seed", "tol", task} | _REQUIRED | sizes,
+                _REQUIRED | sizes)
+        n = _integer(doc, "users", maximum=MAX_USERS)
+        # every deviation grid has at least one row per receiver
+        shape = (n, _integer(doc, "receivers", maximum=MAX_SIMPLEX_ROWS)) if hybrid else (n,)
+        utility = _utility(doc, n)
+        power, gain = _filled(doc, "power", shape), _filled(doc, "gain", shape)
+        log_base = doc.get("log_base", "2")
+        scenario = (HybridScenario(power, gain, doc["noise"], log_base, utility) if hybrid
+                    else SingleReceiverScenario(power, gain, doc["noise"], log_base))
+        settings, others, required = (_HYBRID_BLOCKS if hybrid else _SINGLE_BLOCKS)[task]
+        block = dict(_object(doc, task, set(settings) | others, required, default={}))
+        with _at(task):
+            block.update({key: _setting(block, key, default) for key, default in settings.items()})
+            if hybrid:
+                _hybrid_block(block, task, shape)
+            else:
+                _single_block(block, task, scenario, utility)
+        return ScenarioFile(kind, task, scenario, utility,
+                            seed=_integer(doc, "seed", minimum=0, default=0),
+                            tol=float(check_array(doc.get("tol", 1e-9), (), "tol")),
+                            block=block, canonical=doc, path=path)
 
-    if kind == "single_receiver":
-        allowed = _COMMON | set(TASKS)
-        _expect(doc, path, allowed, {"kind", "task", "users", "power", "gain", "noise"})
-        n = _integer(doc, "users", path)
-        scenario = SingleReceiverScenario(
-            _check_shape(doc["power"], (n,), f"{path}.power", scalar_ok=True),
-            _check_shape(doc["gain"], (n,), f"{path}.gain", scalar_ok=True),
-            _finite(doc, "noise", path), doc.get("log_base", "2"))
-        block_spec = _SINGLE_BLOCKS[task]
-    else:
-        allowed = _COMMON | {"receivers"} | set(TASKS)
-        _expect(doc, path, allowed,
-                {"kind", "task", "users", "receivers", "power", "gain", "noise"})
-        n, nj = _integer(doc, "users", path), _integer(doc, "receivers", path)
-        scenario = HybridScenario(
-            _check_shape(doc["power"], (n, nj), f"{path}.power", scalar_ok=True),
-            _check_shape(doc["gain"], (n, nj), f"{path}.gain", scalar_ok=True),
-            _finite(doc, "noise", path), doc.get("log_base", "2"),
-            _utility_from(doc.get("utility"), f"{path}.utility"))
-        block_spec = _HYBRID_BLOCKS[task]
 
-    utility = _utility_from(doc.get("utility"), f"{path}.utility")
-    block = doc.get(task, {})
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{path}.{task}: must be an object")
-    settings, others, required = block_spec
-    _expect(block, f"{path}.{task}", set(settings) | others, required)
-    for other in TASKS:
-        if other != task and other in doc:
-            raise ScenarioError(f"{path}: block {other!r} does not match task {task!r}")
-    at = f"{path}.{task}"
-    block = dict(block, **{key: _setting(block, key, at, default)
-                           for key, default in settings.items()})
-    if kind == "hybrid":
-        # the certified COP ends because every better response gains > nash_tol
-        if not block["nash_tol"] > 0.0:
-            raise ScenarioError(f"{at}.nash_tol: must be positive, got {block['nash_tol']!r}")
-        try:
-            hybrid_game.grid_denominator(nj, block["dev_resolution"])
-        except ScenarioError as exc:
-            raise ScenarioError(f"{at}.dev_resolution: {exc}") from None
-    if kind == "hybrid" and task == "simulate":
-        _check_shape(block["mix0"], (n, nj), f"{at}.mix0")
-        _check_shape(block["alpha0"], (n,), f"{at}.alpha0")
-    if kind == "hybrid" and task == "verify":
-        prof = _sub_block(block, "profile", at, {"alpha", "mix"})
-        block["profile"] = {"alpha": _check_shape(prof["alpha"], (n,), f"{at}.profile.alpha"),
-                            "mix": _check_shape(prof["mix"], (n, nj), f"{at}.profile.mix")}
-    if kind == "single_receiver" and task == "verify":
+def _utility(doc: dict, n: int) -> UtilitySpec:
+    if doc.get("utility") is None:
+        return UtilitySpec()
+    spec = _object(doc, "utility", {"family", "gamma", "scale"}, {"family"})
+    with _at("utility"):
+        scale = spec.get("scale")
+        return UtilitySpec(spec["family"], spec.get("gamma"),
+                           None if scale is None else check_array(scale, (n,), "scale"))
+
+
+def _single_block(block: dict, task: str, scenario: SingleReceiverScenario,
+                  utility: UtilitySpec) -> None:
+    n = scenario.n_users
+    if task == "analyze" and "tau" in block:
+        block["tau"] = check_array(block["tau"], (n,), "tau", positive=True)
+    elif task == "simulate":
+        grid = ActionGrid.for_game(static_game.make_game(scenario, utility),
+                                   block["grid_points"], block["anchor_equilibrium"])
+        block.update(
+            grid=grid, initial=_initial_state(block.get("initial", "uniform"), grid),
+            protocol=RevisionProtocol(block.get("protocol", "smith"), block["theta"],
+                                      block["growth"]),
+            integrator=IntegratorConfig(block["dt"], block["t_end"], block["sample_every"]))
+    elif task == "verify":
         if "profile" in block:
-            block["profile"] = _check_shape(block["profile"], (n,), f"{at}.profile")
+            block["profile"] = check_array(block["profile"], (n,), "profile")
         if "device" in block:
-            dev = _sub_block(block, "device", at, {"profiles", "weights"})
-            atoms = len(dev["profiles"]) if isinstance(dev["profiles"], list) else 0
-            block["device"] = {
-                "profiles": _check_shape(dev["profiles"], (atoms, n), f"{at}.device.profiles"),
-                "weights": _check_shape(dev["weights"], (atoms,), f"{at}.device.weights")}
-    tau = block.get("tau")
-    if tau is not None and np.any(_check_shape(tau, (n,), f"{at}.tau") <= 0):
-        raise ScenarioError(f"{at}.tau: entries must be positive")
-    initial = block.get("initial")
-    if isinstance(initial, dict) and "dirac_at" in initial:
-        block["initial"] = {"dirac_at": _finite(initial, "dirac_at", f"{at}.initial")}
-    elif isinstance(initial, dict) and "masses" in initial:
-        block["initial"] = {"masses": _check_shape(
-            initial["masses"], (block["grid_points"],), f"{at}.initial.masses")}
+            dev = _object(block, "device", {"profiles", "weights"}, {"profiles", "weights"})
+            with _at("device"):
+                block["device"] = correlated.CorrelatedDevice(
+                    check_array(dev["profiles"], (None, n), "profiles"), dev["weights"])
+        if "profile" not in block and "device" not in block:
+            raise ScenarioError("needs a 'profile' or a 'device'")
 
-    return ScenarioFile(
-        kind=kind,
-        task=task,
-        scenario=scenario,
-        utility=utility,
-        seed=_integer(doc, "seed", path, minimum=0, default=0),
-        tol=_finite(doc, "tol", path, default=1e-9),
-        block=block,
-        canonical=doc,
-    )
+
+def _initial_state(initial, grid: ActionGrid) -> np.ndarray:
+    if initial == "uniform":
+        return population.uniform_state(grid)
+    if not (isinstance(initial, dict) and len(initial) == 1
+            and set(initial) <= {"dirac_at", "masses"}):
+        raise ScenarioError(f"must be 'uniform', {{'dirac_at': x}} or {{'masses': [...]}}, "
+                            f"got {initial!r:.60}", "initial")
+    with _at("initial"):
+        if "dirac_at" in initial:
+            return population.dirac_state(
+                grid, float(check_array(initial["dirac_at"], (), "dirac_at")))
+        return check_array(initial["masses"], (grid.n_points,), "masses", nonneg=True,
+                           row_tol=1e-9)
+
+
+def _hybrid_block(block: dict, task: str, shape: tuple) -> None:
+    # the certified COP ends because every better response gains > nash_tol
+    if not block["nash_tol"] > 0.0:
+        raise ScenarioError(f"must be positive, got {block['nash_tol']!r}", "nash_tol")
+    hybrid_game.grid_denominator(shape[1], block["dev_resolution"])
+    if task == "simulate":
+        mix0 = check_array(block["mix0"], shape, "mix0", nonneg=True, row_tol=1e-9)
+        alpha0 = check_array(block["alpha0"], shape[:1], "alpha0", nonneg=True)
+        block["state0"] = HybridState(mix0, alpha0[:, None] * mix0)
+        block["config"] = HybridDynConfig(
+            theta=block["theta"], mu_bar=block["mu_bar"], dt=block["dt"], t_end=block["t_end"],
+            sample_every=block["sample_every"], residual_tol=block["rest_tol"],
+            channel_fitness=block.get("channel_fitness", "payoff"),
+            gate_switching=block["gate_switching"])
+    elif task == "verify":
+        prof = _object(block, "profile", {"alpha", "mix"}, {"alpha", "mix"})
+        with _at("profile"):
+            block["profile"] = HybridProfile(check_array(prof["alpha"], shape[:1], "alpha"),
+                                             check_array(prof["mix"], shape, "mix"))
 
 
 @dataclass
@@ -293,20 +305,20 @@ def run(sf: ScenarioFile, out_dir=None) -> RunReport:
 
     Simulation tasks write trajectory CSVs into out_dir (required for them);
     analyze and verify work in memory. Identical scenario and seed produce
-    byte-identical artifacts.
+    byte-identical artifacts. A ScenarioError names the scenario's path.
     """
     started = time.perf_counter()
     report = RunReport(sf.kind, sf.task, sf.digest)
-    if sf.kind == "single_receiver":
-        game = static_game.make_game(sf.scenario, sf.utility)
-        if sf.task == "analyze":
-            _analyze_single(sf, game, report)
-        elif sf.task == "simulate":
-            _simulate_single(sf, game, report, _require_out(out_dir))
-        else:
-            _verify_single(sf, game, report)
-    else:
-        if sf.task == "analyze":
+    with _at(sf.path):
+        if sf.kind == "single_receiver":
+            game = static_game.make_game(sf.scenario, sf.utility)
+            if sf.task == "analyze":
+                _analyze_single(sf, game, report)
+            elif sf.task == "simulate":
+                _simulate_single(sf, game, report, _require_out(out_dir))
+            else:
+                _verify_single(sf, game, report)
+        elif sf.task == "analyze":
             _analyze_hybrid(sf, report)
         elif sf.task == "simulate":
             _simulate_hybrid(sf, report, _require_out(out_dir))
@@ -339,9 +351,8 @@ def _analyze_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> No
     if sf.scenario.is_symmetric() and (game.utility.scale is None
                                        or np.ptp(game.utility.scale) == 0.0):
         report.metrics["ess_rate"] = static_game.symmetric_ess(game)
-    tau = sf.block.get("tau")
-    if tau is not None:
-        eq = static_game.normalized_equilibrium(game, np.asarray(tau, float))
+    if "tau" in sf.block:
+        eq = static_game.normalized_equilibrium(game, sf.block["tau"])
         report.metrics["normalized_equilibrium"] = {
             "rates": eq.rates, "c": eq.c, "zeta": eq.zeta, "residual": eq.residual}
     report.verdicts["equal_split_feasible"] = contains(
@@ -351,22 +362,9 @@ def _analyze_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> No
 def _simulate_single(sf: ScenarioFile, game: StaticGame, report: RunReport,
                      out_dir: Path) -> None:
     blk = sf.block
-    grid = population.ActionGrid.for_game(
-        game, blk["grid_points"], include_equilibrium=blk["anchor_equilibrium"])
-    model = population.PopulationModel(game, grid)
-    protocol = population.RevisionProtocol(
-        blk.get("protocol", "smith"), blk["theta"], blk["growth"])
-    initial = blk.get("initial", "uniform")
-    if initial == "uniform":
-        mass0 = population.uniform_state(grid)
-    elif isinstance(initial, dict) and "dirac_at" in initial:
-        mass0 = population.dirac_state(grid, initial["dirac_at"])
-    elif isinstance(initial, dict) and "masses" in initial:
-        mass0 = population.as_state(initial["masses"], grid.n_points)
-    else:
-        raise ScenarioError("simulate.initial must be 'uniform', {'dirac_at': x} or {'masses': [...]} ")
-    config = IntegratorConfig(blk["dt"], blk["t_end"], blk["sample_every"])
-    traj = population.simulate(mass0, protocol, model, config, tol=sf.tol)
+    model = population.PopulationModel(game, blk["grid"])
+    traj = population.simulate(blk["initial"], blk["protocol"], model, blk["integrator"],
+                               tol=sf.tol)
     csv_path = out_dir / "population.csv"
     traj.to_csv(csv_path)
     report.artifacts.append(csv_path.name)
@@ -387,16 +385,13 @@ def _verify_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> Non
         report.verdicts["profile_is_nash"] = static_game.is_nash(
             game, blk["profile"], blk["nash_tol"])
     if "device" in blk:
-        device = correlated.CorrelatedDevice(blk["device"]["profiles"], blk["device"]["weights"])
-        verdict = correlated.is_cce(device, game, blk["dev_points"], blk["cce_tol"])
+        verdict = correlated.is_cce(blk["device"], game, blk["dev_points"], blk["cce_tol"])
         report.verdicts["device_is_cce"] = verdict.ok
         if verdict.witness is not None:
             w = verdict.witness
             report.metrics["cce_witness"] = {
                 "user": w.user + 1, "signal": w.signal,
                 "deviation": w.deviation, "gain": w.gain}
-    if not report.verdicts:
-        raise ScenarioError("verify block needs a 'profile' or a 'device'")
 
 
 def _analyze_hybrid(sf: ScenarioFile, report: RunReport) -> None:
@@ -435,15 +430,8 @@ def _analyze_hybrid(sf: ScenarioFile, report: RunReport) -> None:
 def _simulate_hybrid(sf: ScenarioFile, report: RunReport, out_dir: Path) -> None:
     scenario: HybridScenario = sf.scenario
     blk = sf.block
-    cfg = HybridDynConfig(
-        theta=blk["theta"], mu_bar=blk["mu_bar"], dt=blk["dt"], t_end=blk["t_end"],
-        sample_every=blk["sample_every"], residual_tol=blk["rest_tol"],
-        channel_fitness=blk.get("channel_fitness", "payoff"),
-        gate_switching=blk["gate_switching"])
-    mix0 = np.asarray(blk["mix0"], float)
-    alpha0 = np.asarray(blk["alpha0"], float)
-    state0 = HybridState(mix0, alpha0[:, None] * mix0)
-    traj = hybrid_dynamics.simulate_hybrid(scenario, state0, cfg)
+    cfg = blk["config"]
+    traj = hybrid_dynamics.simulate_hybrid(scenario, blk["state0"], cfg)
     csv_path = out_dir / "hybrid.csv"
     traj.to_csv(csv_path)
     report.artifacts.append(csv_path.name)
@@ -483,7 +471,7 @@ def _verify_hybrid(sf: ScenarioFile, report: RunReport) -> None:
     blk = sf.block
     prof = blk["profile"]
     verdict = hybrid_game.is_hybrid_nash(
-        scenario, prof["alpha"], prof["mix"], blk["nash_tol"], blk["dev_resolution"])
+        scenario, prof.alpha, prof.mix, blk["nash_tol"], blk["dev_resolution"])
     report.verdicts["profile_is_hybrid_nash"] = verdict.ok
     if not verdict.ok and verdict.user is not None:
         report.metrics["nash_witness"] = {

@@ -21,8 +21,8 @@ from .capacity import (
     CapacityRegion,
     ScenarioError,
     SingleReceiverScenario,
-    as_rates,
     build_region,
+    check_array,
     coalition_members,
     coalitions,
     contains,
@@ -55,16 +55,17 @@ class UtilitySpec:
 
     def __post_init__(self):
         if self.family not in UTILITY_FAMILIES:
-            raise ScenarioError(f"unknown utility family {self.family!r}")
+            raise ScenarioError(f"must be one of {UTILITY_FAMILIES}, got {self.family!r}", "family")
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", float(check_array(self.gamma, (), "gamma")))
         if self.family == "power":
             if self.gamma is None or not 0.0 < self.gamma < 1.0:
-                raise ScenarioError("power utility requires 0 < gamma < 1")
+                raise ScenarioError(f"power utility requires 0 < gamma < 1, got {self.gamma!r}",
+                                    "gamma")
         elif self.gamma is not None:
-            raise ScenarioError("gamma is only meaningful for the power family")
+            raise ScenarioError("only meaningful for the power family", "gamma")
         if self.scale is not None:
-            s = np.atleast_1d(np.asarray(self.scale, dtype=float))
-            if np.any(s <= 0):
-                raise ScenarioError("utility scale weights must be positive")
+            s = check_array(self.scale, (None,), "scale", positive=True)
             s.setflags(write=False)
             object.__setattr__(self, "scale", s)
 
@@ -132,7 +133,7 @@ class StaticGame:
         return self.utility.deriv(i, x, self.log_scale)
 
     def welfare(self, rates) -> float:
-        a = as_rates(rates, self.n_users)
+        a = check_array(rates, (self.n_users,), "rates")
         return float(np.sum(self.g(np.arange(self.n_users), a)))
 
 
@@ -143,9 +144,7 @@ def make_game(scenario: SingleReceiverScenario,
 
 def payoff(game: StaticGame, i: int, rates, tol: float = 0.0) -> float:
     """g_i(alpha_i) if the profile is feasible, else 0."""
-    a = as_rates(rates, game.n_users)
-    if np.any(a < 0):
-        raise ScenarioError("rates must be nonnegative")
+    a = check_array(rates, (game.n_users,), "rates", nonneg=True)
     if not contains(game.region, a, tol):
         return 0.0
     return float(game.g(i, a[i]))
@@ -161,9 +160,7 @@ def best_response_info(game: StaticGame, i: int, others) -> tuple[float, bool]:
     formula value is returned even when it is not.
     """
     n = game.n_users
-    others = np.atleast_1d(np.asarray(others, dtype=float))
-    if others.shape != (n - 1,):
-        raise ScenarioError(f"expected {n - 1} opponent rates, got shape {others.shape}")
+    others = check_array(others, (n - 1,), "others")
     full_profile = np.insert(others, i, 0.0)
     floor = safe_rates_full(game.scenario)[i]
     member = game.region.table.member
@@ -181,7 +178,7 @@ def best_response(game: StaticGame, i: int, others) -> float:
 def is_nash(game: StaticGame, rates, tol: float = 1e-9) -> bool:
     """Pure Nash test: feasible, sum rate C_N, rates above the floors, and
     every user already plays its best reply (cross-check)."""
-    a = as_rates(rates, game.n_users)
+    a = check_array(rates, (game.n_users,), "rates")
     if not on_max_face(game.region, game.scenario, a, tol):
         return False
     for i in range(game.n_users):
@@ -205,7 +202,7 @@ def coalition_improvement_exists(game: StaticGame, rates, mask: int,
     the product grid limits this to small coalitions (size <= 3).
     """
     n = game.n_users
-    a = as_rates(rates, n)
+    a = check_array(rates, (n,), "rates")
     members = coalition_members(mask, n)
     if len(members) > 3:
         raise ScenarioError("coalition oracle supports coalitions of size <= 3")
@@ -226,7 +223,7 @@ def is_strong_oracle(game: StaticGame, rates, n_grid: int = 101,
                      tol: float = 1e-12) -> bool:
     """Grid oracle for strong equilibrium: feasible and no coalition of any
     size has a strictly improving grid deviation."""
-    a = as_rates(rates, game.n_users)
+    a = check_array(rates, (game.n_users,), "rates")
     if not contains(game.region, a, 0.0):
         return False
     for mask in coalitions(game.n_users):
@@ -237,7 +234,7 @@ def is_strong_oracle(game: StaticGame, rates, n_grid: int = 101,
 
 def potential(game: StaticGame, rates) -> float:
     """Constrained potential: indicator of feasibility times total welfare."""
-    a = as_rates(rates, game.n_users)
+    a = check_array(rates, (game.n_users,), "rates")
     if not contains(game.region, a, 0.0):
         return 0.0
     return game.welfare(a)
@@ -249,8 +246,10 @@ def _maximize_separable(game: StaticGame, weights: np.ndarray) -> tuple[np.ndarr
     The decomposition algorithm for separable concave maximization over a
     polymatroid (Fujishige, Submodular Functions and Optimization, 2nd ed.,
     2005, sec. 8.2; Groenevelt, EJOR 1991). On a block U of users with bounds
-    f(S) = C_{S+B} - C_B, B the users already placed, bisection on c solves
-    the level equation w_i g_i'(alpha_i) = c under alpha(U) = f(U) alone. If
+    f(S) = C_{S+B} - C_B, B the users already placed, bisection on c to float
+    resolution solves the level equation w_i g_i'(alpha_i) = c under
+    alpha(U) = f(U) alone; an absolute tolerance on c would stop before the
+    rates converge when c is small. If
     a proper coalition A has negative room f(A) - alpha(A), the least-room
     one is tight at the optimum: solve the restriction to A, then the
     contraction to U - A with bounds C_{S+A+B} - C_{A+B}. At most N blocks.
@@ -283,7 +282,7 @@ def _maximize_separable(game: StaticGame, weights: np.ndarray) -> tuple[np.ndarr
             c_lo *= 0.5
         else:
             raise ScenarioError("failed to bracket the multiplier from below")
-        c = bisect(total, c_lo, c_hi, tol=1e-13)
+        c = bisect(total, c_lo, c_hi, tol=0.0)
         rates[users] = [inv(i, c / weights[i], ls) for i in users]
         levels[users] = c
         inner = masks[((masks & ~block) == 0) & (masks != block)]
@@ -383,10 +382,7 @@ def normalized_equilibrium(game: StaticGame, tau) -> NormalizedEquilibrium:
     """
     if not game.utility.strictly_concave:
         raise ScenarioError("normalized equilibrium requires a strictly concave utility")
-    n = game.n_users
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if tau.shape != (n,) or np.any(tau <= 0):
-        raise ScenarioError("tau must be a positive vector of length n_users")
+    tau = check_array(tau, (game.n_users,), "tau", positive=True)
     rates, levels = _maximize_separable(game, tau)
     residual = abs(float(rates.sum()) - game.region.sum_capacity)
     return NormalizedEquilibrium(rates, float(levels.min()), levels / tau, residual)

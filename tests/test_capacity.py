@@ -57,6 +57,11 @@ def test_scenario_validation():
         SingleReceiverScenario(np.array([1.0]), np.array([1.0]), 0.0)
     with pytest.raises(ScenarioError):
         SingleReceiverScenario(np.array([1.0]), np.array([1.0]), 1.0, log_base="10")
+    # nothing is broadcast
+    with pytest.raises(ScenarioError, match="power: shape"):
+        SingleReceiverScenario(25.0, 1.0, 0.1)
+    with pytest.raises(ScenarioError, match="gain: shape"):
+        SingleReceiverScenario(np.array([25.0, 25.0]), 1.0, 0.1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,6 +25,8 @@ class TestDevice:
             CorrelatedDevice(np.array([[1.0, 2.0]]), np.array([0.7]))
         with pytest.raises(ScenarioError):
             CorrelatedDevice(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([0.5, -0.5]))
+        with pytest.raises(ScenarioError, match="profiles: shape"):   # not broadcast
+            CorrelatedDevice(np.array([1.0, 2.0]), np.array([1.0]))
 
     def test_near_duplicates_merge(self):
         base = np.array([1.0, 2.0])

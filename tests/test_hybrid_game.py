@@ -272,6 +272,12 @@ class TestIsHybridNash:
         with pytest.raises(ScenarioError):
             HybridProfile(np.array([1.0]), np.array([[0.5, 0.4]]))
 
+    @pytest.mark.parametrize("check", [potential_psi, hybrid_feasible, is_hybrid_nash])
+    def test_nan_mix_is_refused(self, check):
+        mix = np.array([[np.nan, 0.5, 0.5], [1.0, 0.0, 0.0]])
+        with pytest.raises(ScenarioError, match="mix: entries must be finite"):
+            check(example_scenario(), [0.1, 0.1], mix)
+
 
 def test_simplex_grid_rows_are_stochastic():
     grid = _simplex_grid(3, 0.1)

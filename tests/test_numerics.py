@@ -90,6 +90,28 @@ def test_project_simplex_fixed_points_and_examples():
                        [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
+def row_projection(v):
+    """The one-row projection that project_simplex vectorizes, kept as its oracle."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    cond = u + (1.0 - css) / np.arange(1, v.size + 1) > 0.0
+    rho = np.nonzero(cond)[0][-1]
+    return np.maximum(v + (1.0 - css[rho]) / (rho + 1.0), 0.0)
+
+
+def test_project_simplex_rows_match_the_row_loop():
+    rng = np.random.default_rng(11)
+    for k in range(2000):
+        n, j = rng.integers(1, 6, size=2)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        # half the draws on a coarse lattice, so rows hold tied entries
+        v = (rng.integers(-3, 4, (n, j)) / 2.0 if k % 2 else rng.normal(size=(n, j))) * scale
+        assert np.array_equal(project_simplex(v), np.vstack([row_projection(r) for r in v]))
+    stacked = rng.normal(size=(2, 3, 4))
+    assert np.array_equal(project_simplex(stacked)[1, 2], row_projection(stacked[1, 2]))
+    assert np.array_equal(project_simplex(np.array([[-4.0], [7.5]])), [[1.0], [1.0]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=8))
 def test_project_simplex_properties(values):

@@ -242,6 +242,12 @@ class TestMeanDynamics:
         lam = dirac_state(model2.grid, model2.sum_capacity / 2)
         assert np.abs(mean_dynamics_rhs(lam, proto, model2)).max() <= 1e-9
 
+    def test_nan_state_is_refused(self, model2):
+        lam = uniform_state(model2.grid)
+        lam[3] = np.nan
+        with pytest.raises(ScenarioError, match="state: entries must be finite"):
+            mean_dynamics_rhs(lam, RevisionProtocol("smith"), model2)
+
     @pytest.mark.parametrize("proto", [
         RevisionProtocol("bnn"),
         RevisionProtocol("replicator"),

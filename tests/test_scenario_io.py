@@ -1,13 +1,15 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macgame.capacity import ScenarioError
 from macgame.cli import main
 from macgame.hybrid_game import potential_psi, receiver_capacity
-from macgame.scenario_io import parse_doc, parse_scenario, run
+from macgame.scenario_io import ScenarioFile, parse_doc, parse_scenario, run
 
 
 def write(tmp_path, name, doc):
@@ -261,6 +263,20 @@ class TestCli:
         ("single_receiver", "noise", 10 ** 400),
         ("single_receiver", "tol", float("nan")),
         ("single_receiver", "seed", -1),
+        ("hybrid", "mix0", [[0.2, 0.3, 0.6], [0.25, 0.5, 0.25]]),
+        ("hybrid", "alpha0", [-0.2, 0.1]),
+        ("single_receiver", "power", -1.0),
+        ("hybrid", "noise", -0.1),
+        ("single_receiver", "log_base", "10"),
+        ("single_receiver", "utility.gamma", 2.0),
+        ("single_receiver", "utility.gamma", "0.5"),
+        ("single_receiver", "utility.scale", "abc"),
+        ("hybrid", "utility.scale", [float("nan"), 1.0]),
+        ("hybrid", "utility.scale", [1.0, 1.0, 1.0]),
+        ("single_receiver", "users", 21),
+        ("hybrid", "users", 21),
+        # refused before power is filled with 2 x (2**20 + 1) entries
+        ("hybrid", "receivers", 2 ** 20 + 1),
     ])
     def test_bad_simulate_input_exit_two(self, tmp_path, capsys, kind, key, value):
         if kind == "hybrid":
@@ -268,10 +284,18 @@ class TestCli:
         else:
             doc = dict(MINIMAL_SINGLE, task="simulate",
                        simulate={"grid_points": 21, "dt": 0.01, "t_end": 0.1})
-        (doc["simulate"] if key in doc["simulate"] else doc)[key] = value
+        if key in doc["simulate"]:
+            key = f"simulate.{key}"
+        if key.startswith("utility."):
+            doc["utility"] = {"family": "power", "gamma": 0.5}
+        *parents, last = key.split(".")
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[last] = value
         path = write(tmp_path, "bad.json", doc)
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert key in capsys.readouterr().err
+        assert f"bad.json.{key}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, task, key, value", [
         ("single_receiver", "analyze", "tau", "abc"),
@@ -297,6 +321,14 @@ class TestCli:
         ("hybrid", "verify", "dev_resolution", 1e-4),
         ("hybrid", "analyze", "nash_tol", 0.0),
         ("hybrid", "verify", "nash_tol", -1e-3),
+        ("single_receiver", "simulate", "protocol", "foo"),
+        ("single_receiver", "simulate", "theta", 0.5),
+        ("single_receiver", "simulate", "dt", -1.0),
+        ("hybrid", "simulate", "dt", -1.0),
+        ("single_receiver", "simulate", "initial", "foo"),
+        ("single_receiver", "simulate", "dirac_at", 0.123),
+        ("hybrid", "simulate", "channel_fitness", "foo"),
+        ("hybrid", "simulate", "mu_bar", -1.0),
     ])
     def test_bad_task_block_value_exit_two(self, tmp_path, capsys, kind, task, key, value):
         blocks = {
@@ -316,8 +348,8 @@ class TestCli:
             block[key] = value
         path = write(tmp_path, "bad.json", doc)
         assert main([task, str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"{task}." in err and key in err
+        where = f"{task}.initial.{key}" if key == "dirac_at" else f"{task}.{key}"
+        assert f"bad.json.{where}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, task, block, key", [
         ("hybrid", "verify", {"profile": {"alpha": ["abc", 1], "mix": [[1, 0, 0], [0, 1, 0]]}},
@@ -344,6 +376,12 @@ class TestCli:
         ("single_receiver", "simulate", {"grid_points": 3, "dt": 0.01, "t_end": 0.1,
                                          "initial": {"masses": [0.5, "x", 0.5]}},
          "simulate.initial.masses"),
+        ("hybrid", "verify", {"profile": {"alpha": [-1.0, 0.1], "mix": [[1, 0, 0], [0, 1, 0]]}},
+         "verify.profile.alpha"),
+        ("hybrid", "verify", {"profile": {"alpha": [0.2, 0.1],
+                                          "mix": [[0.5, 0.6, 0.0], [0, 1, 0]]}}, "verify.profile.mix"),
+        ("single_receiver", "verify", {"device": {"profiles": [[1, 1, 1]], "weights": [0.5]}},
+         "verify.device.weights"),
     ])
     def test_bad_profile_array_exit_two(self, tmp_path, capsys, kind, task, block, key):
         base = HYBRID_EXAMPLE if kind == "hybrid" else MINIMAL_SINGLE
@@ -351,7 +389,7 @@ class TestCli:
         doc.update(task=task, **{task: block})
         path = write(tmp_path, "bad.json", doc)
         assert main([task, str(path), "--out", str(tmp_path / "out")]) == 2
-        assert key in capsys.readouterr().err
+        assert f"bad.json.{key}:" in capsys.readouterr().err
 
     def test_companion_table_over_the_cap_exit_two(self, tmp_path, capsys):
         doc = dict(MINIMAL_SINGLE, task="simulate", users=6,
@@ -366,3 +404,69 @@ class TestCli:
         assert main(["analyze", str(path), "--log-base", "e"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["sum_capacity"] == pytest.approx(math.log(751.0), abs=1e-9)
+
+
+HYBRID_BASE = {k: v for k, v in HYBRID_EXAMPLE.items() if k != "simulate"}
+
+# one valid document per kind and task, with every optional block filled in
+TEMPLATES = [
+    dict(MINIMAL_SINGLE, utility={"family": "log1p", "scale": [1.0, 2.0, 1.0]},
+         analyze={"tau": [1.0, 2.0, 1.0]}),
+    dict(MINIMAL_SINGLE, task="simulate", log_base="e", seed=3, tol=1e-9,
+         simulate={"grid_points": 11, "dt": 0.01, "t_end": 0.1, "protocol": "smith",
+                   "theta": 2.0, "anchor_equilibrium": True, "initial": {"dirac_at": 0.0}}),
+    dict(MINIMAL_SINGLE, task="verify",
+         verify={"profile": [3.0, 3.0, 3.0], "dev_points": 11,
+                 "device": {"profiles": [[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]], "weights": [0.5, 0.5]}}),
+    dict(HYBRID_BASE, task="analyze", utility={"family": "power", "gamma": 0.5, "scale": [1.0, 2.0]},
+         analyze={"n_starts": 2, "dev_resolution": 0.25}),
+    HYBRID_EXAMPLE,
+    dict(HYBRID_BASE, task="verify",
+         verify={"profile": {"alpha": [0.2, 0.1], "mix": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]}}),
+]
+KEYS = sorted({key for doc in TEMPLATES for key in json.dumps(doc).split('"')[1::2]
+               if key.isidentifier()} | {"masses", "growth", "gate_switching", "junk"})
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.just(64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["abc", "0.5", "10", "", "e", "uniform", "bnn", "power", "payoff",
+                     "hybrid", "single_receiver", "analyze", "simulate", "verify"]),
+    st.lists(st.floats(-2.0, 2.0) | st.sampled_from(["x", math.nan, math.inf]), max_size=4),
+    st.lists(st.lists(st.floats(0.0, 1.0), max_size=3), max_size=3),
+    st.builds(dict))
+
+
+def _paths(node, prefix=()):
+    """The path of every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.data())
+def test_parse_doc_yields_a_scenario_or_a_scenario_error(data):
+    """Mutations of valid documents (wrong types, non-finite numbers, strings,
+    nested lists, missing and extra keys) never raise anything else. Every
+    drawn count is at most 64, so no draw can allocate much."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(TEMPLATES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *head, last = data.draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[last] = data.draw(JUNK)
+        elif action == "delete":
+            del parent[last]
+        else:
+            target = parent[last] if isinstance(parent[last], dict) else doc
+            target[data.draw(st.sampled_from(KEYS))] = data.draw(JUNK)
+        if not isinstance(doc, dict) or not doc:
+            break
+    try:
+        assert isinstance(parse_doc(doc), ScenarioFile)
+    except ScenarioError:
+        pass

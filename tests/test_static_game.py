@@ -339,7 +339,7 @@ def assert_exchange_optimal(game, rates, weights):
     coalition holds i but not j, so no rate can move from j to i."""
     n = game.n_users
     assert contains(game.region, rates, 1e-10)
-    assert abs(rates.sum() - game.region.sum_capacity) <= 1e-10
+    assert abs(rates.sum() - game.region.sum_capacity) <= 1e-13
     assert is_nash(game, rates)
     level = weights * game.g_deriv(np.arange(n), rates)
     member = game.region.table.member
