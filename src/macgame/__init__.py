@@ -14,8 +14,7 @@ from .capacity import (
     build_region,
     contains,
     on_max_face,
-    safe_rate,
-    safe_rates_full,
+    safe_rates,
 )
 from .correlated import CceVerdict, CorrelatedDevice, is_cce, mixture_of_nash
 from .hybrid_dynamics import (

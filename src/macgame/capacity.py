@@ -229,27 +229,27 @@ def contains(region: CapacityRegion, rates, tol: float = 1e-9) -> bool:
     return bool(np.all(region.table.member @ a <= region.bounds[1:] + tol))
 
 
-def safe_rate(scenario: SingleReceiverScenario, i: int, omega: int) -> float:
-    """Rate user i sustains inside coalition omega when the other members are noise.
+def safe_rates(scenario, omega: Optional[int] = None) -> np.ndarray:
+    """r_{i,Omega} of every member i of coalition omega (every user when None):
+    the rate i sustains when the other members are noise,
 
     r_{i,Omega} = log(1 + P_i h_i / (sigma0^2 + sum_{i' in Omega, i' != i} P_i' h_i')).
+
+    Rows follow the members in ascending order. A hybrid scenario, whose
+    power and gain are N x J, gets one column per receiver.
     """
     n = scenario.n_users
-    if not 0 <= i < n:
-        raise ScenarioError(f"user index {i} out of range")
-    if not omega >> i & 1:
-        raise ScenarioError(f"user {i} is not a member of coalition {omega:b}")
-    terms = scenario.power * scenario.gain
-    interference = sum(terms[k] for k in coalition_members(omega, n) if k != i)
-    scale = _log_scale(scenario.log_base)
-    return math.log1p(terms[i] / (scenario.noise + interference)) / scale
-
-
-def safe_rates_full(scenario: SingleReceiverScenario) -> np.ndarray:
-    """Vector of r_{i,N}: each user's guaranteed rate against all others."""
-    n = scenario.n_users
-    full = (1 << n) - 1
-    return np.array([safe_rate(scenario, i, full) for i in range(n)])
+    if omega is None:
+        omega = (1 << n) - 1
+    if not 1 <= omega < (1 << n):
+        raise ScenarioError(f"coalition mask {omega} out of range")
+    terms = (scenario.power * scenario.gain)[np.flatnonzero(omega >> np.arange(n) & 1)]
+    # other[k, i] = 1 for k != i: the interference is summed over the other
+    # members rather than taken as total minus own term, so nothing cancels
+    m = terms.shape[0]
+    other = np.expand_dims(1.0 - np.eye(m), tuple(range(2, terms.ndim + 1)))
+    interference = (other * terms[:, None]).sum(axis=0)
+    return np.log1p(terms / (scenario.noise + interference)) / _log_scale(scenario.log_base)
 
 
 def on_max_face(region: CapacityRegion, scenario: SingleReceiverScenario,
@@ -266,5 +266,4 @@ def on_max_face(region: CapacityRegion, scenario: SingleReceiverScenario,
         return False
     if abs(float(a.sum()) - region.sum_capacity) > tol:
         return False
-    floors = safe_rates_full(scenario)
-    return bool(np.all(a >= floors - tol))
+    return bool(np.all(a >= safe_rates(scenario) - tol))

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import ScenarioError, check_array, contains
+from .capacity import ScenarioError, check_array
 from .static_game import StaticGame, is_nash
 
 MERGE_TOL = 1e-12
@@ -49,13 +49,14 @@ class CorrelatedDevice:
 
 
 def _merge_duplicates(profiles: np.ndarray, weights: np.ndarray):
+    """Fold every atom within MERGE_TOL of an earlier kept atom into the
+    first such atom, adding its weight."""
     kept: list[int] = []
     w = weights.astype(float).copy()
     for k in range(profiles.shape[0]):
-        for j in kept:
-            if np.all(np.abs(profiles[k] - profiles[j]) <= MERGE_TOL):
-                w[j] += w[k]
-                break
+        hit = np.flatnonzero(np.all(np.abs(profiles[kept] - profiles[k]) <= MERGE_TOL, axis=1))
+        if hit.size:
+            w[kept[hit[0]]] += w[k]
         else:
             kept.append(k)
     return profiles[kept].copy(), w[kept].copy()
@@ -117,9 +118,14 @@ def is_cce(device: CorrelatedDevice, game: StaticGame,
     if device.n_users != game.n_users:
         raise ScenarioError("device and game disagree on the user count")
     atoms = device.profiles
-    for k in range(device.n_atoms):
-        if not contains(game.region, atoms[k], 1e-9):
-            raise ScenarioError(f"support profile {k} is infeasible")
+    # how far each atom leaves the region: below zero or over a coalition bound
+    excess = np.maximum(-atoms.min(axis=1),
+                        (atoms @ game.region.table.member.T - game.region.bounds[1:]).max(axis=1))
+    infeasible = np.flatnonzero(excess > 1e-9)
+    if infeasible.size:
+        raise ScenarioError(f"support profile {infeasible[0]} is infeasible")
+    # obedience payoff of every user at every atom, zero off the region
+    own = np.where(excess[:, None] <= 1e-12, game.g(np.arange(game.n_users), atoms), 0.0)
     weights = device.weights
     worst: Optional[CceWitness] = None
     for i in range(game.n_users):
@@ -130,7 +136,7 @@ def is_cce(device: CorrelatedDevice, game: StaticGame,
         for signal, members in groups:
             w = weights[members]
             w = w / w.sum()
-            obey = float(sum(wk * _own_payoff(game, i, atoms[m]) for wk, m in zip(w, members)))
+            obey = float(own[members, i] @ w)
             dev_values = payoff_table[:, members] @ w
             k_best = int(np.argmax(dev_values))
             gain = float(dev_values[k_best]) - obey
@@ -139,12 +145,6 @@ def is_cce(device: CorrelatedDevice, game: StaticGame,
                 if worst is None or cand.gain > worst.gain:
                     worst = cand
     return CceVerdict(worst is None, worst)
-
-
-def _own_payoff(game: StaticGame, i: int, profile: np.ndarray) -> float:
-    if not contains(game.region, profile, 1e-12):
-        return 0.0
-    return float(game.g(i, profile[i]))
 
 
 def _group_values(values: np.ndarray) -> list[tuple[float, np.ndarray]]:

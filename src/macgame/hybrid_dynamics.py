@@ -185,7 +185,7 @@ def simulate_hybrid(scenario: HybridScenario, state0: HybridState,
     over = np.argwhere(state0.beta > single_user_caps(scenario) + 1e-12)
     if over.size:
         i, j = over[0]
-        raise ScenarioError(f"initial split beta[{i},{j}] exceeds the single-user cap")
+        raise ScenarioError(f"initial split beta[{i},{j}] exceeds the single-user cap", "alpha0")
 
     def rhs(state: np.ndarray) -> np.ndarray:
         return _field(scenario, state, cfg)

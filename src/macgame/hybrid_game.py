@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .capacity import (MAX_USERS, ScenarioError, _check_snr, _log_scale, check_array,
-                       coalition_members, coalition_table)
+                       coalition_table, safe_rates)
 from .numerics import project_simplex
 from .static_game import UtilitySpec
 
@@ -119,17 +119,6 @@ def single_user_caps(scenario: HybridScenario) -> np.ndarray:
     return region_tables(scenario)[1][(1 << np.arange(scenario.n_users)) - 1]
 
 
-def hybrid_safe_rate(scenario: HybridScenario, i: int, j: int, omega: int) -> float:
-    """r_{ij,Omega}: rate of user i at receiver j treating the other coalition
-    members as noise."""
-    n = scenario.n_users
-    if not omega >> i & 1:
-        raise ScenarioError(f"user {i} is not a member of coalition {omega:b}")
-    terms = scenario.power[:, j] * scenario.gain[:, j]
-    interference = sum(terms[k] for k in coalition_members(omega, n) if k != i)
-    return math.log1p(terms[i] / (scenario.noise + interference)) / scenario.log_scale
-
-
 def _checked(scenario: HybridScenario, alpha, mix,
              tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """alpha and mix in the scenario's shapes, alpha >= 0 and mix rows on the simplex."""
@@ -206,8 +195,7 @@ def best_response_split(scenario: HybridScenario, i: int, j: int,
     # coalitions of i and opponents active at j
     rows = (member[:, i] > 0.0) & ~(member[:, idle] > 0.0).any(axis=1)
     slack = float(np.min(caps[rows, j] - member[rows] @ loads))
-    full = (1 << n) - 1
-    floor = hybrid_safe_rate(scenario, i, j, full)
+    floor = float(safe_rates(scenario)[i, j])
     value = max(floor, slack)
     return SplitResponse(value, floor >= slack, slack >= floor - 1e-12)
 

@@ -139,9 +139,10 @@ class PopulationModel:
 
     def __init__(self, game: StaticGame, grid: ActionGrid):
         if not game.scenario.is_symmetric():
-            raise ScenarioError("population dynamics require a symmetric scenario")
+            raise ScenarioError("population dynamics require a symmetric scenario",
+                                "power" if np.ptp(game.scenario.power) else "gain")
         if game.utility.scale is not None and np.ptp(game.utility.scale) != 0.0:
-            raise ScenarioError("population dynamics require a shared utility")
+            raise ScenarioError("population dynamics require a shared utility", "utility.scale")
         _table_guard(game.n_users, grid.n_points)
         self.game = game
         self.grid = grid

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import correlated, hybrid_dynamics, hybrid_game, population, static_game
 from .capacity import (MAX_USERS, ScenarioError, SingleReceiverScenario, check_array,
-                       coalition_members, coalitions, contains, safe_rates_full)
+                       coalition_members, coalitions, contains, safe_rates)
 from .hybrid_dynamics import HybridDynConfig, HybridState
 from .hybrid_game import MAX_SIMPLEX_ROWS, HybridProfile, HybridScenario
 from .numerics import IntegratorConfig
@@ -343,7 +343,7 @@ def _analyze_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> No
                "bound": region.bound(mask)} for mask in coalitions(n)]
     report.metrics["coalition_bounds"] = bounds
     report.metrics["sum_capacity"] = region.sum_capacity
-    report.metrics["guaranteed_rates"] = safe_rates_full(sf.scenario)
+    report.metrics["guaranteed_rates"] = safe_rates(sf.scenario)
     metrics = static_game.efficiency_metrics(game)
     report.metrics["spoa"] = metrics["spoa"]
     report.metrics["pos"] = metrics["pos"]
@@ -352,7 +352,8 @@ def _analyze_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> No
                                        or np.ptp(game.utility.scale) == 0.0):
         report.metrics["ess_rate"] = static_game.symmetric_ess(game)
     if "tau" in sf.block:
-        eq = static_game.normalized_equilibrium(game, sf.block["tau"])
+        with _at("analyze"):
+            eq = static_game.normalized_equilibrium(game, sf.block["tau"])
         report.metrics["normalized_equilibrium"] = {
             "rates": eq.rates, "c": eq.c, "zeta": eq.zeta, "residual": eq.residual}
     report.verdicts["equal_split_feasible"] = contains(
@@ -431,7 +432,8 @@ def _simulate_hybrid(sf: ScenarioFile, report: RunReport, out_dir: Path) -> None
     scenario: HybridScenario = sf.scenario
     blk = sf.block
     cfg = blk["config"]
-    traj = hybrid_dynamics.simulate_hybrid(scenario, blk["state0"], cfg)
+    with _at("simulate"):
+        traj = hybrid_dynamics.simulate_hybrid(scenario, blk["state0"], cfg)
     csv_path = out_dir / "hybrid.csv"
     traj.to_csv(csv_path)
     report.artifacts.append(csv_path.name)

@@ -27,14 +27,14 @@ from .capacity import (
     coalitions,
     contains,
     on_max_face,
-    safe_rates_full,
+    safe_rates,
     _log_scale,
 )
 from .numerics import bisect
 
 UTILITY_FAMILIES = ("identity", "log1p", "power")
 
-#: guard for exact face-vertex enumeration (concave worst-equilibrium search)
+#: guard for the N! successive-cancellation corners (concave worst-equilibrium search)
 MAX_VERTEX_USERS = 6
 
 
@@ -96,13 +96,13 @@ class UtilitySpec:
             return s / ((1.0 + x) * log_scale)
         return s * self.gamma * np.power(x, self.gamma - 1.0)
 
-    def inv_deriv(self, i: int, z: float, log_scale: float) -> float:
+    def inv_deriv(self, i, z, log_scale: float):
         """Solve g_i'(x) = z for x >= 0 (strictly concave families only)."""
         s = self._scale_of(i)
         if self.family == "log1p":
-            return max(s / (z * log_scale) - 1.0, 0.0)
+            return np.maximum(s / (z * log_scale) - 1.0, 0.0)
         if self.family == "power":
-            return (z / (s * self.gamma)) ** (1.0 / (self.gamma - 1.0))
+            return np.power(z / (s * self.gamma), 1.0 / (self.gamma - 1.0))
         raise ScenarioError("inverse marginal utility needs a strictly concave family")
 
 
@@ -159,33 +159,29 @@ def best_response_info(game: StaticGame, i: int, others) -> tuple[float, bool]:
     whether any completion (alpha_i >= 0, others) is feasible at all; the
     formula value is returned even when it is not.
     """
-    n = game.n_users
-    others = check_array(others, (n - 1,), "others")
-    full_profile = np.insert(others, i, 0.0)
-    floor = safe_rates_full(game.scenario)[i]
+    full_profile = np.insert(check_array(others, (game.n_users - 1,), "others"), i, 0.0)
+    return float(_best_replies(game, full_profile)[i]), contains(game.region, full_profile, 0.0)
+
+
+def _best_replies(game: StaticGame, a: np.ndarray) -> np.ndarray:
+    """Every user's best-reply rate against the others' rates in a:
+    max(r_{i,N}, a_i + min over coalitions Omega containing i of C_Omega - a(Omega))."""
     member = game.region.table.member
-    with_i = member[:, i] > 0.0
-    slack = float(np.min(game.region.bounds[1:][with_i] - member[with_i] @ full_profile))
-    feasible_completion = slack >= 0.0 and contains(game.region, full_profile, 0.0)
-    return max(floor, slack), feasible_completion
+    room = game.region.bounds[1:] - member @ a
+    least = np.where(member > 0.0, room[:, None], np.inf).min(axis=0)
+    return np.maximum(safe_rates(game.scenario), a + least)
 
 
 def best_response(game: StaticGame, i: int, others) -> float:
-    value, _ = best_response_info(game, i, others)
-    return value
+    return best_response_info(game, i, others)[0]
 
 
 def is_nash(game: StaticGame, rates, tol: float = 1e-9) -> bool:
     """Pure Nash test: feasible, sum rate C_N, rates above the floors, and
     every user already plays its best reply (cross-check)."""
     a = check_array(rates, (game.n_users,), "rates")
-    if not on_max_face(game.region, game.scenario, a, tol):
-        return False
-    for i in range(game.n_users):
-        br, _ = best_response_info(game, i, np.delete(a, i))
-        if abs(br - a[i]) > tol:
-            return False
-    return True
+    return (on_max_face(game.region, game.scenario, a, tol)
+            and bool(np.all(np.abs(_best_replies(game, a) - a) <= tol)))
 
 
 def is_strong_equilibrium(game: StaticGame, rates, tol: float = 1e-9) -> bool:
@@ -263,11 +259,12 @@ def _maximize_separable(game: StaticGame, weights: np.ndarray) -> tuple[np.ndarr
     rates, levels = np.zeros(n), np.zeros(n)
 
     def solve(block: int, fixed: int) -> None:
-        users = list(coalition_members(block, n))
+        users = np.flatnonzero(block >> np.arange(n) & 1)
+        w = weights[users]
         target = bounds[block | fixed] - bounds[fixed]
 
         def total(c: float) -> float:
-            return sum(inv(i, c / weights[i], ls) for i in users) - target
+            return float(np.sum(inv(users, c / w, ls))) - target
 
         c_lo, c_hi = 1e-12, 1.0
         for _ in range(200):
@@ -283,7 +280,7 @@ def _maximize_separable(game: StaticGame, weights: np.ndarray) -> tuple[np.ndarr
         else:
             raise ScenarioError("failed to bracket the multiplier from below")
         c = bisect(total, c_lo, c_hi, tol=0.0)
-        rates[users] = [inv(i, c / weights[i], ls) for i in users]
+        rates[users] = inv(users, c / w, ls)
         levels[users] = c
         inner = masks[((masks & ~block) == 0) & (masks != block)]
         room = bounds[inner | fixed] - bounds[fixed] - member[inner - 1] @ rates
@@ -309,38 +306,18 @@ def social_optimum(game: StaticGame) -> tuple[np.ndarray, float]:
         x, _ = _maximize_separable(game, np.ones(game.n_users))
     else:
         scale = np.ones(game.n_users) if game.utility.scale is None else game.utility.scale
-        x = _corner(game, np.argsort(-scale, kind="stable"))
+        x = _corners(game, np.argsort(-scale, kind="stable")[None])[0]
     return x, game.welfare(x)
 
 
-def _corner(game: StaticGame, order) -> np.ndarray:
-    """Successive-cancellation corner of a decoding order pi:
-    x_{pi(k)} = C_{pi(1..k)} - C_{pi(1..k-1)}."""
-    bounds = game.region.bounds
-    x = np.empty(game.n_users)
-    mask = 0
-    for k in order:
-        x[k] = bounds[mask | 1 << k] - bounds[mask]
-        mask |= 1 << k
+def _corners(game: StaticGame, orders: np.ndarray) -> np.ndarray:
+    """Successive-cancellation corner of every decoding order pi, one row per
+    row of orders: x_{pi(k)} = C_{pi(1..k)} - C_{pi(1..k-1)}."""
+    prefix = np.cumsum(1 << orders, axis=1)
+    x = np.empty(orders.shape)
+    np.put_along_axis(x, orders, np.diff(game.region.bounds[prefix], axis=1, prepend=0.0),
+                      axis=1)
     return x
-
-
-def _face_vertices(game: StaticGame) -> list[np.ndarray]:
-    """Vertices of the maximal face as successive-cancellation corners.
-
-    The coalition bounds are submodular, so the maximal face is the base
-    polytope of a polymatroid and its vertices are the greedy corners of
-    the N! decoding orders. Orders that give the same corner are merged.
-    """
-    n = game.n_users
-    if n > MAX_VERTEX_USERS:
-        raise ScenarioError("face vertex enumeration limited to small user counts")
-    verts: list[np.ndarray] = []
-    for order in itertools.permutations(range(n)):
-        v = _corner(game, order)
-        if not any(np.allclose(v, w, atol=1e-9) for w in verts):
-            verts.append(v)
-    return verts
 
 
 def efficiency_metrics(game: StaticGame) -> dict[str, float]:
@@ -358,7 +335,13 @@ def efficiency_metrics(game: StaticGame) -> dict[str, float]:
     _, opt_val = social_optimum(game)
     if game.utility.family == "identity" and game.utility.scale is None:
         return {"spoa": 1.0, "pos": 1.0, "social_optimum": opt_val}
-    worst = min(game.welfare(v) for v in _face_vertices(game))
+    n = game.n_users
+    if n > MAX_VERTEX_USERS:
+        raise ScenarioError("face vertex enumeration limited to small user counts")
+    # the minimum over all N! corners needs no merging of orders that give
+    # the same corner
+    corners = _corners(game, np.array(list(itertools.permutations(range(n)))))
+    worst = float(game.g(np.arange(n), corners).sum(axis=1).min())
     return {"spoa": worst / opt_val, "pos": 1.0, "social_optimum": opt_val}
 
 
@@ -381,7 +364,7 @@ def normalized_equilibrium(game: StaticGame, tau) -> NormalizedEquilibrium:
     Requires a strictly concave utility family.
     """
     if not game.utility.strictly_concave:
-        raise ScenarioError("normalized equilibrium requires a strictly concave utility")
+        raise ScenarioError("normalized equilibrium requires a strictly concave utility", "tau")
     tau = check_array(tau, (game.n_users,), "tau", positive=True)
     rates, levels = _maximize_separable(game, tau)
     residual = abs(float(rates.sum()) - game.region.sum_capacity)
@@ -437,7 +420,7 @@ def sample_max_face(game: StaticGame, n_samples: int,
     if rng is None:
         rng = np.random.default_rng(seed)
     n = game.n_users
-    floors = safe_rates_full(game.scenario)
+    floors = safe_rates(game.scenario)
     surplus = game.region.sum_capacity - float(floors.sum())
     out = np.empty((n_samples, n))
     for k in range(n_samples):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macgame.hybrid_game import HybridScenario
+
 from macgame.capacity import (
     ScenarioError,
+    _log_scale,
     SingleReceiverScenario,
     build_region,
     coalitions,
     contains,
     on_max_face,
-    safe_rate,
-    safe_rates_full,
+    safe_rates,
 )
 
 
@@ -101,16 +103,19 @@ def test_contains_is_exact_at_zero_tolerance():
 
 def test_safe_rate_values():
     s2 = SingleReceiverScenario.symmetric(2, 25.0, 1.0, 0.1)
-    r = safe_rate(s2, 0, 0b11)
+    r = safe_rates(s2)[0]
     assert r == pytest.approx(math.log2(1 + 250.0 / 251.0), abs=1e-12)
     assert r == pytest.approx(0.9971, abs=1e-4)
     # singleton coalition equals the single-user bound
     region2 = build_region(s2)
-    assert safe_rate(s2, 0, 0b01) == pytest.approx(region2.bound(0b01), abs=1e-15)
+    assert safe_rates(s2, 0b01) == pytest.approx([region2.bound(0b01)], abs=1e-15)
     s3 = symmetric3()
-    assert safe_rate(s3, 0, 0b111) == pytest.approx(0.5840, abs=1e-4)
-    with pytest.raises(ScenarioError):
-        safe_rate(s3, 0, 0b110)
+    assert safe_rates(s3, 0b111)[0] == pytest.approx(0.5840, abs=1e-4)
+    # one rate per member of the coalition
+    assert safe_rates(s3, 0b110) == pytest.approx([r, r], abs=1e-12)
+    for mask in (0, 0b1000):
+        with pytest.raises(ScenarioError):
+            safe_rates(s3, mask)
 
 
 def test_max_face_membership():
@@ -130,16 +135,47 @@ def test_equal_split_feasible_for_symmetric_scenarios(n, ph, noise):
     split = np.full(n, region.sum_capacity / n)
     assert contains(region, split, 1e-12)
     # the guaranteed rate never exceeds the symmetric share
-    assert np.all(safe_rates_full(s) <= region.sum_capacity / n + 1e-12)
+    assert np.all(safe_rates(s) <= region.sum_capacity / n + 1e-12)
 
 
 def test_floor_is_exactly_the_singleton_complement_gap():
     # r_{i,N} = C_N - C_{N minus i}: the floors are implied on the max face
     s = SingleReceiverScenario(np.array([2.0, 5.0, 1.0]), np.array([1.0, 0.5, 2.0]), 0.7)
     region = build_region(s)
-    floors = safe_rates_full(s)
+    floors = safe_rates(s)
     n = s.n_users
     full = (1 << n) - 1
     for i in range(n):
         gap = region.sum_capacity - region.bound(full & ~(1 << i))
         assert floors[i] == pytest.approx(gap, rel=1e-12)
+
+
+def scalar_safe_rate(scenario, i, omega, j=None):
+    """r_{i,Omega} (at receiver j of a hybrid scenario) by the scalar
+    per-member formula, kept as the oracle of safe_rates."""
+    terms = scenario.power * scenario.gain
+    if j is not None:
+        terms = terms[:, j]
+    interference = sum(terms[k] for k in range(scenario.n_users) if omega >> k & 1 and k != i)
+    return math.log1p(terms[i] / (scenario.noise + interference)) / _log_scale(scenario.log_base)
+
+
+@pytest.mark.parametrize("hybrid", [False, True])
+def test_safe_rates_match_the_scalar_formula(hybrid):
+    rng = np.random.default_rng(7 + hybrid)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        shape = (n, int(rng.integers(1, 5))) if hybrid else (n,)
+        args = (rng.uniform(0.01, 100.0, shape), rng.uniform(0.01, 3.0, shape),
+                rng.uniform(0.01, 2.0), str(rng.choice(["2", "e"])))
+        s = HybridScenario(*args) if hybrid else SingleReceiverScenario(*args)
+        omega = int(rng.integers(1, 1 << n))
+        got = safe_rates(s, omega)
+        members = [i for i in range(n) if omega >> i & 1]
+        assert got.shape == (len(members),) + shape[1:]
+        for row, i in zip(got, members):
+            ref = ([scalar_safe_rate(s, i, omega, j) for j in range(shape[1])] if hybrid
+                   else scalar_safe_rate(s, i, omega))
+            assert np.all(np.abs(row - ref) <= 1e-15 * np.abs(ref))
+        if omega == (1 << n) - 1:
+            assert np.array_equal(safe_rates(s), got)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from macgame.capacity import ScenarioError, SingleReceiverScenario, safe_rates_full
-from macgame.correlated import CorrelatedDevice, is_cce, mixture_of_nash
+from macgame.capacity import ScenarioError, SingleReceiverScenario, safe_rates
+from macgame.correlated import (MERGE_TOL, CorrelatedDevice, _merge_duplicates, is_cce,
+                                mixture_of_nash)
 from macgame.static_game import is_nash, make_game, sample_max_face
 
 
@@ -12,7 +13,7 @@ def sym_game(n=2, ph=25.0, noise=0.1):
 
 def two_sided_device(game):
     """Half weight on each of the two extreme max-face completions."""
-    floors = safe_rates_full(game.scenario)
+    floors = safe_rates(game.scenario)
     c12 = game.region.sum_capacity
     p1 = np.array([floors[0], c12 - floors[0]])
     p2 = np.array([c12 - floors[1], floors[1]])
@@ -33,6 +34,36 @@ class TestDevice:
         dev = CorrelatedDevice(np.array([base, base + 1e-14]), np.array([0.4, 0.6]))
         assert dev.n_atoms == 1
         assert dev.weights[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_merge_matches_the_pairwise_loop(self):
+        def pairwise(profiles, weights):
+            """The pairwise merge loop, kept as the oracle of _merge_duplicates."""
+            kept = []
+            w = weights.astype(float).copy()
+            for k in range(profiles.shape[0]):
+                for j in kept:
+                    if np.all(np.abs(profiles[k] - profiles[j]) <= MERGE_TOL):
+                        w[j] += w[k]
+                        break
+                else:
+                    kept.append(k)
+            return profiles[kept].copy(), w[kept].copy()
+
+        past = np.nextafter(MERGE_TOL, 1.0)
+        offsets = np.array([0.0, MERGE_TOL, -MERGE_TOL, past, -past, MERGE_TOL / 2, 3 * MERGE_TOL])
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            atoms, n = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+            base = rng.choice([0.0, 0.5, 2.0], size=(3, n))
+            profiles = base[rng.integers(3, size=atoms)] + rng.choice(offsets, size=(atoms, n))
+            weights = rng.dirichlet(np.ones(atoms))
+            got, want = _merge_duplicates(profiles, weights), pairwise(profiles, weights)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # a gap of exactly MERGE_TOL merges, the next float past it does not
+        at = np.array([[0.0, 1.0], [MERGE_TOL, 1.0]])
+        assert _merge_duplicates(at, np.array([0.5, 0.5]))[0].shape == (1, 2)
+        beyond = np.array([[0.0, 1.0], [past, 1.0]])
+        assert _merge_duplicates(beyond, np.array([0.5, 0.5]))[0].shape == (2, 2)
 
     def test_mixture_rejects_non_nash(self):
         g = sym_game()

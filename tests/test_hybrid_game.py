@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from macgame.capacity import ScenarioError
+from macgame.capacity import ScenarioError, safe_rates
 from macgame.hybrid_game import (
     HybridNashVerdict,
     HybridProfile,
@@ -13,7 +13,6 @@ from macgame.hybrid_game import (
     best_response_split,
     expected_payoff,
     hybrid_feasible,
-    hybrid_safe_rate,
     is_hybrid_nash,
     potential_psi,
     receiver_capacity,
@@ -106,7 +105,7 @@ class TestBestResponseSplit:
         expected = min(math.log2(11), math.log2(21) - 2.0)
         assert resp.value == pytest.approx(expected, abs=1e-12)
         assert resp.value == pytest.approx(2.3923, abs=1e-4)
-        floor = hybrid_safe_rate(s, 0, 0, 0b11)
+        floor = safe_rates(s)[0, 0]
         assert floor == pytest.approx(math.log2(21 / 11), abs=1e-12)
         assert resp.value > floor
 
@@ -116,7 +115,7 @@ class TestBestResponseSplit:
         alpha = np.array([0.0, 2.0 * cap])
         mix = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         resp = best_response_split(s, 0, 0, alpha, mix)
-        assert resp.value == pytest.approx(hybrid_safe_rate(s, 0, 0, 0b11), abs=1e-12)
+        assert resp.value == pytest.approx(safe_rates(s)[0, 0], abs=1e-12)
         assert resp.floor_active
         assert not resp.feasible
 

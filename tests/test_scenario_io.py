@@ -277,6 +277,12 @@ class TestCli:
         ("hybrid", "users", 21),
         # refused before power is filled with 2 x (2**20 + 1) entries
         ("hybrid", "receivers", 2 ** 20 + 1),
+        # run-time rules: the initial split over the single-user caps, and
+        # population dynamics on an asymmetric scenario or utility
+        ("hybrid", "alpha0", [20.0, 0.1]),
+        ("single_receiver", "power", [25.0, 30.0, 25.0]),
+        ("single_receiver", "gain", [1.0, 2.0, 1.0]),
+        ("single_receiver", "utility.scale", [1.0, 2.0, 1.0]),
     ])
     def test_bad_simulate_input_exit_two(self, tmp_path, capsys, kind, key, value):
         if kind == "hybrid":
@@ -382,6 +388,8 @@ class TestCli:
                                           "mix": [[0.5, 0.6, 0.0], [0, 1, 0]]}}, "verify.profile.mix"),
         ("single_receiver", "verify", {"device": {"profiles": [[1, 1, 1]], "weights": [0.5]}},
          "verify.device.weights"),
+        # run-time rule: the normalized equilibrium needs a strictly concave utility
+        ("single_receiver", "analyze", {"tau": [1.0, 1.0, 1.0]}, "analyze.tau"),
     ])
     def test_bad_profile_array_exit_two(self, tmp_path, capsys, kind, task, block, key):
         base = HYBRID_EXAMPLE if kind == "hybrid" else MINIMAL_SINGLE

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from macgame.capacity import ScenarioError, SingleReceiverScenario, contains, safe_rates_full
+from macgame.capacity import (ScenarioError, SingleReceiverScenario, _log_scale, contains,
+                              safe_rates)
 from macgame.cli import main
 from macgame.static_game import (
     UtilitySpec,
+    _corners,
     best_response,
     best_response_info,
     coalition_improvement_exists,
@@ -68,7 +70,7 @@ class TestBestResponse:
     def test_saturated_others_return_floor_with_flag(self):
         g = sym_game(n=2)
         value, feasible = best_response_info(g, 0, [g.region.bound(0b11)])
-        assert value == pytest.approx(safe_rates_full(g.scenario)[0], abs=1e-12)
+        assert value == pytest.approx(safe_rates(g.scenario)[0], abs=1e-12)
         assert not feasible
 
     def test_single_user_reply_is_capacity(self):
@@ -118,6 +120,80 @@ class TestNash:
                 abs(best_response(g, i, np.delete(a, i)) - a[i]) <= 1e-9
                 for i in range(2))
             assert fixed == is_nash(g, a)
+
+
+def loop_safe_rates(scenario):
+    """r_{i,N} by the scalar per-user formula."""
+    terms = scenario.power * scenario.gain
+    return np.array([math.log1p(terms[i] / (scenario.noise + sum(
+        terms[k] for k in range(scenario.n_users) if k != i))) / _log_scale(scenario.log_base)
+        for i in range(scenario.n_users)])
+
+
+def loop_best_response_info(game, i, others):
+    full_profile = np.insert(np.asarray(others, dtype=float), i, 0.0)
+    floor = loop_safe_rates(game.scenario)[i]
+    member = game.region.table.member
+    with_i = member[:, i] > 0.0
+    slack = float(np.min(game.region.bounds[1:][with_i] - member[with_i] @ full_profile))
+    return max(floor, slack), slack >= 0.0 and contains(game.region, full_profile, 0.0)
+
+
+def loop_is_nash(game, a, tol):
+    """The per-user best-reply loop, kept as the oracle of is_nash."""
+    region = game.region
+    if not contains(region, a, tol) or abs(float(a.sum()) - region.sum_capacity) > tol:
+        return False
+    if not np.all(a >= loop_safe_rates(game.scenario) - tol):
+        return False
+    for i in range(game.n_users):
+        br, _ = loop_best_response_info(game, i, np.delete(a, i))
+        if abs(br - a[i]) > tol:
+            return False
+    return True
+
+
+def random_game(rng, n):
+    s = SingleReceiverScenario(rng.uniform(1.0, 40.0, n), rng.uniform(0.2, 1.5, n),
+                               rng.uniform(0.1, 1.0), str(rng.choice(["2", "e"])))
+    return make_game(s)
+
+
+class TestBestReplyPass:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_nash_matches_the_per_user_loop(self, n):
+        rng = np.random.default_rng(60 + n)
+        tol = 1e-9
+        verdicts = set()
+        for _ in range(8):
+            g = random_game(rng, n)
+            corners = all_corners(g)
+            for _ in range(6):
+                face = rng.dirichlet(np.ones(len(corners))) @ corners
+                candidates = [face, face * rng.uniform(0.5, 0.99)]
+                for step in (tol / 2, 2 * tol):
+                    for sign in (1.0, -1.0):
+                        moved = face.copy()
+                        moved[rng.integers(n)] += sign * step
+                        # one user, or every user sharing the move of the sum rate
+                        candidates += [moved, face + sign * step / n]
+                for a in candidates:
+                    want = loop_is_nash(g, a, tol)
+                    assert is_nash(g, a, tol) == want
+                    verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_best_response_info_matches_the_loop(self, n):
+        rng = np.random.default_rng(70 + n)
+        g = random_game(rng, n)
+        for _ in range(20):
+            others = rng.uniform(0.0, g.region.sum_capacity / max(n - 1, 1), n - 1)
+            i = int(rng.integers(n))
+            value, feasible = best_response_info(g, i, others)
+            ref_value, ref_feasible = loop_best_response_info(g, i, others)
+            assert feasible == ref_feasible
+            assert value == pytest.approx(ref_value, rel=1e-15, abs=0.0)
 
 
 class TestStrongOracle:
@@ -202,12 +278,11 @@ class TestSocialOptimum:
         assert value <= grid_best + 2e-3  # grid undershoots the true optimum
 
     def test_scaled_identity_takes_the_best_face_vertex(self):
-        from macgame.static_game import _face_vertices
         s = SingleReceiverScenario(np.array([12.0, 30.0, 4.0]),
                                    np.array([1.0, 0.7, 1.5]), 0.4)
         g = make_game(s, UtilitySpec("identity", scale=np.array([1.0, 3.0, 2.0])))
         witness, value = social_optimum(g)
-        assert value == pytest.approx(max(g.welfare(v) for v in _face_vertices(g)), abs=1e-12)
+        assert value == pytest.approx(max(g.welfare(v) for v in all_corners(g)), abs=1e-12)
         assert is_nash(g, witness)
 
 
@@ -246,6 +321,11 @@ class TestEfficiencyMetrics:
             assert efficiency_metrics(g)["social_optimum"] == social_optimum(g)[1]
 
 
+def all_corners(game):
+    """The successive-cancellation corners of all N! decoding orders."""
+    return _corners(game, np.array(list(itertools.permutations(range(game.n_users)))))
+
+
 def active_set_vertices(game):
     """Reference maximal-face vertices: solve every system of the
     grand-coalition equality plus N-1 active coalition or nonnegativity
@@ -271,23 +351,34 @@ def active_set_vertices(game):
 class TestFaceVertices:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_greedy_corners_match_active_set_enumeration(self, n):
-        from macgame.static_game import _face_vertices
         rng = np.random.default_rng(40 + n)
         s = SingleReceiverScenario(rng.uniform(2.0, 40.0, n), rng.uniform(0.3, 1.5, n), 0.4)
         g = make_game(s, UtilitySpec("log1p"))
-        fast = _face_vertices(g)
+        fast = all_corners(g)
         slow = active_set_vertices(g)
         assert len(fast) == len(slow) == math.factorial(n)
         for v in fast:
             assert any(np.allclose(v, w, rtol=0.0, atol=1e-9) for w in slow)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_corners_match_the_corner_loop(self, n):
+        rng = np.random.default_rng(80 + n)
+        g = random_game(rng, n)
+        orders = np.array(list(itertools.permutations(range(n))))
+        loop = np.empty(orders.shape)
+        for row, order in zip(loop, orders):
+            mask = 0
+            for k in order:
+                row[k] = g.region.bounds[mask | 1 << k] - g.region.bounds[mask]
+                mask |= 1 << k
+        assert np.array_equal(_corners(g, orders), loop)
+
     def test_worst_vertex_matches_face_grid_minimum(self):
         s = SingleReceiverScenario(np.array([12.0, 30.0, 4.0]),
                                    np.array([1.0, 0.7, 1.5]), 0.4)
         g = make_game(s, UtilitySpec("log1p"))
-        from macgame.static_game import _face_vertices
-        verts = _face_vertices(g)
-        assert verts
+        verts = all_corners(g)
+        assert len(verts)
         vertex_min = min(g.welfare(v) for v in verts)
         cn = g.region.sum_capacity
         axis1 = np.linspace(0, g.region.bound(1), 400)
