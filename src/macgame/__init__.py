@@ -56,16 +56,12 @@ from .static_game import (
     NormalizedEquilibrium,
     StaticGame,
     UtilitySpec,
-    best_response,
     efficiency_metrics,
     is_nash,
-    is_strong_equilibrium,
-    is_strong_oracle,
     make_game,
     normalized_equilibrium,
     payoff,
     potential,
-    sample_max_face,
     social_optimum,
     symmetric_ess,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .capacity import (MAX_USERS, ScenarioError, _check_snr, _log_scale, check_array,
                        coalition_table, safe_rates)
-from .numerics import project_simplex
+from .numerics import NumericsError, project_simplex
 from .static_game import UtilitySpec
 
 
@@ -350,7 +350,8 @@ def is_hybrid_nash(scenario: HybridScenario, alpha, mix, tol: float = 1e-3,
 def _clip_alpha(scenario: HybridScenario, a: np.ndarray, p: np.ndarray,
                 max_sweeps: int = 200) -> np.ndarray:
     """Clip alpha onto the coupled feasible set for a fixed mix by cyclic
-    projection onto the violated half-spaces."""
+    projection onto the violated half-spaces. Raises NumericsError when
+    max_sweeps projections leave a half-space violated."""
     member, caps = region_tables(scenario)
     # one half-space per (coalition, receiver): sum_{i in Omega} p_ij x_i <= C_{j,Omega}
     coef = (member[:, None, :] * p.T[None, :, :]).reshape(-1, scenario.n_users)
@@ -363,8 +364,11 @@ def _clip_alpha(scenario: HybridScenario, a: np.ndarray, p: np.ndarray,
         viol = coef @ x - bound
         k = int(np.argmax(viol))
         if not viol[k] > 1e-12:
-            break
+            return x
         x = np.maximum(x - coef[k] * (viol[k] / norm2[k]), 0.0)
+    worst = float(np.max(coef @ x - bound))
+    if worst > 1e-12:
+        raise NumericsError(f"_clip_alpha: {max_sweeps} sweeps leave a violation of {worst:.3g}")
     return x
 
 

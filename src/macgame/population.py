@@ -15,6 +15,7 @@ conserved exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +29,11 @@ PROTOCOL_KINDS = ("bnn", "replicator", "smith")
 
 #: enumeration guard on the G^(N-1) companion table, like capacity.MAX_USERS
 MAX_TABLE_ENTRIES = 1 << 20
+
+#: smallest grid on which integer-theta Smith runs the sorted field instead
+#: of the dense G x G switch matrix: measured, the sorted field is the faster
+#: from here on at theta = 1 and 2 (README, "Notes on the dynamics")
+SORTED_SMITH_MIN_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,47 @@ def _fitness(model: PopulationModel, lam: np.ndarray) -> np.ndarray:
 def _switch_matrix(protocol: RevisionProtocol, F: np.ndarray) -> np.ndarray:
     """Smith switch rates: B[x, a] = max(F_a - F_x, 0)^theta."""
     gap = np.maximum(F[None, :] - F[:, None], 0.0)
-    return gap ** protocol.theta
+    if protocol.theta in (1.0, 2.0):
+        # numpy copies or squares without pow, faster than any masking
+        return gap ** protocol.theta
+    # 0^theta = 0, so raising only the positive gaps changes no bit
+    return np.power(gap, protocol.theta, out=np.zeros_like(gap), where=gap > 0.0)
+
+
+def _sorted_smith_flows(lam: np.ndarray, F: np.ndarray,
+                        theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smith inflow sum_x lam_x max(F_a - F_x, 0)^theta and outflow
+    lam_a sum_x max(F_x - F_a, 0)^theta for integer theta, in O(theta G).
+
+    With F sorted and d_k = F_(k+1) - F_(k) >= 0, the sums below a node,
+    I_r[k] = sum_{j<k} lam_(j) (F_(k) - F_(j))^r, grow by the binomial
+    expansion of (d_k + F_(k) - F_(j))^r:
+        I_r[k+1] - I_r[k] = d_k^r Lam_{<=k} + sum_{1<=s<r} C(r,s) d_k^(r-s) I_s[k],
+    and the unweighted sums above a node, U_r, shrink the same way from the
+    counts above k. Every term is nonnegative, so nothing cancels and the
+    result does not depend on a shift of F; ties give d = 0.
+    """
+    order = np.argsort(F, kind="stable")
+    f, w = F[order], lam[order]
+    d = np.diff(f)
+    d_pow = [None, d]
+    for _ in range(2, theta + 1):
+        d_pow.append(d_pow[-1] * d)
+    below = np.cumsum(w)[:-1]
+    above = np.arange(f.size - 1, 0, -1, dtype=float)
+    inc, dec = [None], [None]
+    for r in range(1, theta + 1):
+        step_in, step_out = d_pow[r] * below, d_pow[r] * above
+        for s in range(1, r):
+            c = math.comb(r, s) * d_pow[r - s]
+            step_in += c * inc[s][:-1]
+            step_out += c * dec[s][1:]
+        inc.append(np.concatenate(([0.0], np.cumsum(step_in))))
+        dec.append(np.concatenate((np.cumsum(step_out[::-1])[::-1], [0.0])))
+    inflow, outflow = np.empty_like(F), np.empty_like(F)
+    inflow[order] = inc[theta]
+    outflow[order] = w * dec[theta]
+    return inflow, outflow
 
 
 def _rhs_unchecked(lam: np.ndarray, protocol: RevisionProtocol,
@@ -247,9 +293,12 @@ def _rhs_unchecked(lam: np.ndarray, protocol: RevisionProtocol,
         # to a; the net inflow sums to lambda_a (F_a - lambda.F), so nodes
         # without mass stay without mass
         return K * lam * (F - float(lam @ F))
-    B = _switch_matrix(protocol, F)
-    inflow = lam @ B
-    outflow = lam * B.sum(axis=1)
+    if F.size >= SORTED_SMITH_MIN_POINTS and float(protocol.theta).is_integer():
+        inflow, outflow = _sorted_smith_flows(lam, F, int(protocol.theta))
+    else:
+        B = _switch_matrix(protocol, F)
+        inflow = lam @ B
+        outflow = lam * B.sum(axis=1)
     return K * (inflow - outflow)
 
 

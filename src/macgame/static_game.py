@@ -23,8 +23,6 @@ from .capacity import (
     SingleReceiverScenario,
     build_region,
     check_array,
-    coalition_members,
-    coalitions,
     contains,
     on_max_face,
     safe_rates,
@@ -172,60 +170,13 @@ def _best_replies(game: StaticGame, a: np.ndarray) -> np.ndarray:
     return np.maximum(safe_rates(game.scenario), a + least)
 
 
-def best_response(game: StaticGame, i: int, others) -> float:
-    return best_response_info(game, i, others)[0]
-
-
 def is_nash(game: StaticGame, rates, tol: float = 1e-9) -> bool:
     """Pure Nash test: feasible, sum rate C_N, rates above the floors, and
-    every user already plays its best reply (cross-check)."""
+    every user already plays its best reply (cross-check). Pure Nash
+    equilibria of this game are strong, so this is also the strong test."""
     a = check_array(rates, (game.n_users,), "rates")
     return (on_max_face(game.region, game.scenario, a, tol)
             and bool(np.all(np.abs(_best_replies(game, a) - a) <= tol)))
-
-
-def is_strong_equilibrium(game: StaticGame, rates, tol: float = 1e-9) -> bool:
-    """Strong equilibria coincide with Nash equilibria in this game."""
-    return is_nash(game, rates, tol)
-
-
-def coalition_improvement_exists(game: StaticGame, rates, mask: int,
-                                 n_grid: int = 101, tol: float = 1e-12) -> bool:
-    """Exhaustive search for a joint deviation of the coalition `mask` that
-    strictly improves every member, on an n_grid-per-axis product grid.
-
-    Deviation grids per member span [0, C_{i}]. Intended as a test oracle;
-    the product grid limits this to small coalitions (size <= 3).
-    """
-    n = game.n_users
-    a = check_array(rates, (n,), "rates")
-    members = coalition_members(mask, n)
-    if len(members) > 3:
-        raise ScenarioError("coalition oracle supports coalitions of size <= 3")
-    base_payoffs = [payoff(game, i, a) for i in members]
-    axes = [np.linspace(0.0, game.region.bound(1 << i), n_grid) for i in members]
-    trial = a.copy()
-    for combo in itertools.product(*axes):
-        trial[list(members)] = combo
-        if not contains(game.region, trial, 0.0):
-            continue
-        if all(game.g(i, trial[i]) > base + tol
-               for i, base in zip(members, base_payoffs)):
-            return True
-    return False
-
-
-def is_strong_oracle(game: StaticGame, rates, n_grid: int = 101,
-                     tol: float = 1e-12) -> bool:
-    """Grid oracle for strong equilibrium: feasible and no coalition of any
-    size has a strictly improving grid deviation."""
-    a = check_array(rates, (game.n_users,), "rates")
-    if not contains(game.region, a, 0.0):
-        return False
-    for mask in coalitions(game.n_users):
-        if coalition_improvement_exists(game, a, mask, n_grid, tol):
-            return False
-    return True
 
 
 def potential(game: StaticGame, rates) -> float:
@@ -407,29 +358,3 @@ def symmetric_ess(game: StaticGame) -> float:
             if not ess_resists_invasion(game, frac * r_star, eps):
                 raise ScenarioError("invasion inequality failed at the candidate ESS")
     return r_star
-
-
-def sample_max_face(game: StaticGame, n_samples: int,
-                    seed: int | None = 0,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw feasible maximal-face profiles.
-
-    Surplus above the per-user floors is split by Dirichlet weights; draws
-    that leave the region (possible for three or more users) are rejected.
-    """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    n = game.n_users
-    floors = safe_rates(game.scenario)
-    surplus = game.region.sum_capacity - float(floors.sum())
-    out = np.empty((n_samples, n))
-    for k in range(n_samples):
-        for _ in range(1000):
-            w = rng.dirichlet(np.ones(n))
-            candidate = floors + w * surplus
-            if contains(game.region, candidate, 1e-12):
-                out[k] = candidate
-                break
-        else:
-            raise ScenarioError("max-face sampling failed to find a feasible point")
-    return out

@@ -40,8 +40,9 @@ from macgame.static_game import (
     is_nash,
     make_game,
     normalized_equilibrium,
-    sample_max_face,
 )
+
+from oracles import sample_max_face
 
 
 def report_line(criterion: str, ok: bool, detail: str) -> None:

@@ -4,7 +4,9 @@ import pytest
 from macgame.capacity import ScenarioError, SingleReceiverScenario, safe_rates
 from macgame.correlated import (MERGE_TOL, CorrelatedDevice, _merge_duplicates, is_cce,
                                 mixture_of_nash)
-from macgame.static_game import is_nash, make_game, sample_max_face
+from macgame.static_game import is_nash, make_game
+
+from oracles import sample_max_face
 
 
 def sym_game(n=2, ph=25.0, noise=0.1):

@@ -23,6 +23,7 @@ from macgame.hybrid_game import (
     _clip_alpha,
     _simplex_grid,
 )
+from macgame.numerics import NumericsError
 from macgame.static_game import UtilitySpec
 
 
@@ -68,6 +69,15 @@ class TestFeasibility:
         cap = receiver_capacity(s, 1, 0b1)
         assert hybrid_feasible(s, [cap], np.array([[0.0, 1.0]]))
         assert not hybrid_feasible(s, [cap * 1.001], np.array([[0.0, 1.0]]))
+
+    def test_clip_sweep_cap_is_loud(self):
+        s = example_scenario()
+        mix = np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]])
+        alpha = np.array([20.0, 20.0])
+        # one projection leaves another half-space violated; two suffice
+        with pytest.raises(NumericsError, match="1 sweeps leave a violation of 5.49"):
+            _clip_alpha(s, alpha, mix, max_sweeps=1)
+        assert hybrid_feasible(s, _clip_alpha(s, alpha, mix, max_sweeps=2), mix)
 
 
 class TestExpectedPayoff:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from macgame import population
 from macgame.capacity import ScenarioError, SingleReceiverScenario
 from macgame.numerics import IntegratorConfig
 from macgame.population import (
+    SORTED_SMITH_MIN_POINTS,
     ActionGrid,
     PopulationModel,
     RevisionProtocol,
@@ -14,6 +16,8 @@ from macgame.population import (
     mean_rate,
     simulate,
     uniform_state,
+    _sorted_smith_flows,
+    _switch_matrix,
 )
 from macgame.static_game import make_game
 
@@ -229,6 +233,71 @@ class TestProtocolRate:
             RevisionProtocol("smith", theta=0.5)
         with pytest.raises(ScenarioError):
             RevisionProtocol("bnn", growth=0.0)
+
+
+def smith_fitness(g, rng, shift, case):
+    """Fitness on g nodes: distinct values, ties (about two nodes a value),
+    or a block of gated nodes at zero, shifted by `shift`."""
+    if case == "distinct":
+        F = rng.uniform(0.0, 8.0, g)
+    elif case == "ties":
+        F = rng.uniform(0.0, 8.0, (g + 1) // 2)[rng.permutation(g) % ((g + 1) // 2)]
+    else:
+        F = rng.uniform(0.0, 8.0, g)
+        F[: max(1, g // 4)] = 0.0
+    return F + shift
+
+
+class TestSortedSmithField:
+    @pytest.mark.parametrize("theta", [1, 2, 3])
+    @pytest.mark.parametrize("g", [2, 3, SORTED_SMITH_MIN_POINTS - 1, SORTED_SMITH_MIN_POINTS,
+                                   401, 1601])
+    def test_matches_switch_matrix(self, theta, g):
+        rng = np.random.default_rng(10 * g + theta)
+        proto = RevisionProtocol("smith", float(theta))
+        for shift in (0.0, 1e3):
+            for case in ("distinct", "ties", "gated"):
+                F = smith_fitness(g, rng, shift, case)
+                lam = rng.dirichlet(np.full(g, 0.5))
+                B = _switch_matrix(proto, F)
+                dense_in, dense_out = lam @ B, lam * B.sum(axis=1)
+                inflow, outflow = _sorted_smith_flows(lam, F, theta)
+                largest = max(dense_in.max(), dense_out.max())
+                err = max(np.abs(inflow - dense_in).max(), np.abs(outflow - dense_out).max())
+                assert err <= 1e-13 * largest, (shift, case, err / largest)
+                # mass balance within the summation bound G eps of the total flow
+                assert abs((inflow - outflow).sum()) <= g * 1e-16 * inflow.sum(), (shift, case)
+
+    def test_rhs_runs_dense_below_the_crossover_and_sorted_at_it(self, monkeypatch):
+        calls = []
+        sorted_flows, switch = population._sorted_smith_flows, population._switch_matrix
+        monkeypatch.setattr(population, "_sorted_smith_flows",
+                            lambda *a: calls.append("sorted") or sorted_flows(*a))
+        monkeypatch.setattr(population, "_switch_matrix",
+                            lambda *a: calls.append("dense") or switch(*a))
+        game = sym_game(2)
+        for g, theta, path in ((SORTED_SMITH_MIN_POINTS - 1, 1.0, "dense"),
+                               (SORTED_SMITH_MIN_POINTS, 1.0, "sorted"),
+                               (SORTED_SMITH_MIN_POINTS, 2.0, "sorted"),
+                               (SORTED_SMITH_MIN_POINTS, 1.5, "dense")):
+            model = PopulationModel(game, ActionGrid.for_game(game, g))
+            lam = np.where(model.grid.points <= 0.8 * model.sum_capacity / 2, 1.0, 0.0)
+            calls.clear()
+            rhs = mean_dynamics_rhs(lam / lam.sum(), RevisionProtocol("smith", theta), model)
+            assert calls == [path], (g, theta)
+            assert np.abs(rhs).max() > 0.0
+
+    @pytest.mark.parametrize("theta", [1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("g", [7, 101, 401])
+    def test_masked_power_is_bitwise_the_plain_power(self, theta, g):
+        # raising only the positive gaps must not change a bit of gap ** theta
+        rng = np.random.default_rng(g)
+        for case in ("ties", "gated"):
+            F = smith_fitness(g, rng, 0.0, case)
+            gap = np.maximum(F[None, :] - F[:, None], 0.0)
+            assert np.any(gap == 0.0) and np.any(gap > 0.0)
+            assert np.array_equal(_switch_matrix(RevisionProtocol("smith", theta), F),
+                                  gap ** theta)
 
 
 class TestMeanDynamics:

@@ -11,22 +11,19 @@ from macgame.cli import main
 from macgame.static_game import (
     UtilitySpec,
     _corners,
-    best_response,
     best_response_info,
-    coalition_improvement_exists,
     efficiency_metrics,
     ess_resists_invasion,
     is_nash,
-    is_strong_equilibrium,
-    is_strong_oracle,
     make_game,
     normalized_equilibrium,
     payoff,
     potential,
-    sample_max_face,
     social_optimum,
     symmetric_ess,
 )
+
+from oracles import coalition_improvement_exists, is_strong_oracle, sample_max_face
 
 
 def sym_game(n=3, ph=25.0, noise=0.1, utility=None):
@@ -64,8 +61,8 @@ class TestBestResponse:
     def test_two_user_symmetric_example(self):
         g = sym_game(n=2)
         expected = g.region.bound(0b11) - 2.0
-        assert best_response(g, 0, [2.0]) == pytest.approx(expected, abs=1e-12)
-        assert best_response(g, 0, [2.0]) == pytest.approx(6.9687, abs=1e-4)
+        assert best_response_info(g, 0, [2.0])[0] == pytest.approx(expected, abs=1e-12)
+        assert best_response_info(g, 0, [2.0])[0] == pytest.approx(6.9687, abs=1e-4)
 
     def test_saturated_others_return_floor_with_flag(self):
         g = sym_game(n=2)
@@ -75,7 +72,7 @@ class TestBestResponse:
 
     def test_single_user_reply_is_capacity(self):
         g = sym_game(n=1)
-        assert best_response(g, 0, []) == pytest.approx(g.region.bound(1), abs=1e-15)
+        assert best_response_info(g, 0, [])[0] == pytest.approx(g.region.bound(1), abs=1e-15)
 
 
 class TestNash:
@@ -83,7 +80,7 @@ class TestNash:
         g = sym_game()
         split = g.region.sum_capacity / 3
         assert is_nash(g, [split] * 3)
-        assert is_strong_equilibrium(g, [split] * 3)
+        assert is_strong_oracle(g, [split] * 3, n_grid=21)
 
     def test_interior_point_is_not_nash(self):
         g = sym_game()
@@ -117,7 +114,7 @@ class TestNash:
                 pts.append(cand)
         for a in pts:
             fixed = all(
-                abs(best_response(g, i, np.delete(a, i)) - a[i]) <= 1e-9
+                abs(best_response_info(g, i, np.delete(a, i))[0] - a[i]) <= 1e-9
                 for i in range(2))
             assert fixed == is_nash(g, a)
 
