@@ -26,15 +26,15 @@ The integrated state stacks both blocks into one 2 x N x J array, mix first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .capacity import ScenarioError, check_array
 from .hybrid_game import (
     HybridScenario,
-    _feasible_unchecked,
     receiver_sum_capacities,
+    region_tables,
     single_user_caps,
 )
 from .numerics import IntegratorConfig, integrate, write_csv
@@ -89,39 +89,48 @@ class HybridState:
 
 
 def channel_fitness(scenario: HybridScenario, alpha: np.ndarray, mix: np.ndarray,
-                    kind: str) -> np.ndarray:
-    """N x J fitness field driving the receiver-selection flow."""
+                    kind: str, rates: Optional[np.ndarray] = None) -> np.ndarray:
+    """N x J fitness field driving the receiver-selection flow; rates is alpha_i p_ij."""
+    beta = alpha[:, None] * mix if rates is None else rates
     # integrator stage states may dip infinitesimally negative; the utility
     # families are only defined on the nonnegative axis
-    beta = np.maximum(alpha[:, None] * mix, 0.0)
     if kind == "payoff":
-        return scenario.g(scenario.users, beta)
+        return scenario.g(scenario.users, np.maximum(beta, 0.0))
     if kind == "marginal_utility":
         return alpha[:, None] * scenario.g_deriv(scenario.users, np.maximum(beta, 1e-15))
     raise ScenarioError(f"unknown channel fitness field {kind!r}")
 
 
-def _field(scenario: HybridScenario, state: np.ndarray, cfg: HybridDynConfig,
-           gated: bool = True) -> np.ndarray:
-    """Stacked derivative (chi, beta_dot) of a stacked (mix, beta) state.
+def build_field(scenario: HybridScenario, cfg: HybridDynConfig,
+                gated: bool = True) -> Callable[[np.ndarray], np.ndarray]:
+    """The stacked derivative (chi, beta_dot) of a stacked (mix, beta) state,
+    as a function of the state, with the per-run constants read once.
 
     With gated set and cfg.gate_switching on, chi is zero wherever the
     static profile (row sums of beta, mix) is infeasible.
     """
-    mix, beta = state
-    alpha = beta.sum(axis=1)
-    out = np.empty_like(state)
-    if gated and cfg.gate_switching \
-            and not _feasible_unchecked(scenario, alpha, mix, tol=1e-9):
-        out[0] = 0.0
-    else:
-        u = channel_fitness(scenario, alpha, mix, cfg.channel_fitness)
-        # eta[i, j, j'] = max(0, u_ij' - u_ij)^theta
-        eta = np.maximum(0.0, u[:, None, :] - u[:, :, None]) ** cfg.theta
-        out[0] = np.einsum("ik,ikj->ij", mix, eta) - mix * eta.sum(axis=2)
-    loads = (mix * beta).sum(axis=0)
-    out[1] = -cfg.mu_bar * (loads - receiver_sum_capacities(scenario))[None, :] * mix * beta
-    return out
+    member, caps = region_tables(scenario)
+    bound, sum_caps, gate = caps + 1e-9, caps[-1], gated and cfg.gate_switching
+    neg_mu, theta, kind = -cfg.mu_bar, cfg.theta, cfg.channel_fitness
+    add = np.add.reduce
+
+    def field(state: np.ndarray) -> np.ndarray:
+        mix, beta = state[0], state[1]
+        alpha = add(beta, axis=1)
+        rates = alpha[:, None] * mix
+        out = np.empty_like(state)
+        if gate and not (member @ rates <= bound).all():
+            out[0] = 0.0
+        else:
+            u = channel_fitness(scenario, alpha, mix, kind, rates)
+            # eta[i, j, j'] = max(0, u_ij' - u_ij)^theta; x^1 = x needs no power
+            eta = np.maximum(0.0, u[:, None, :] - u[:, :, None])
+            eta = eta if theta == 1.0 else eta ** theta
+            np.subtract(np.einsum("ik,ikj->ij", mix, eta), mix * add(eta, axis=2), out=out[0])
+        np.multiply(neg_mu * (add(mix * beta, axis=0) - sum_caps) * mix, beta, out=out[1])
+        return out
+
+    return field
 
 
 def hybrid_rhs(scenario: HybridScenario, state: HybridState,
@@ -133,7 +142,7 @@ def hybrid_rhs(scenario: HybridScenario, state: HybridState,
     """
     if state.mix.shape != (scenario.n_users, scenario.n_receivers):
         raise ScenarioError("state shape does not match the scenario")
-    chi, beta_dot = _field(scenario, np.stack((state.mix, state.beta)), cfg)
+    chi, beta_dot = build_field(scenario, cfg)(np.stack((state.mix, state.beta)))
     return chi, beta_dot
 
 
@@ -187,9 +196,6 @@ def simulate_hybrid(scenario: HybridScenario, state0: HybridState,
         i, j = over[0]
         raise ScenarioError(f"initial split beta[{i},{j}] exceeds the single-user cap", "alpha0")
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        return _field(scenario, state, cfg)
-
     def project(state: np.ndarray) -> tuple[np.ndarray, float, float]:
         clip = max(-float(state.min()), 0.0)
         state = np.maximum(state, 0.0)
@@ -197,13 +203,12 @@ def simulate_hybrid(scenario: HybridScenario, state0: HybridState,
         state[0] /= rows
         return state, clip, float(np.abs(rows - 1.0).max())
 
-    def sample(state: np.ndarray) -> tuple[np.ndarray, float, float]:
-        chi, bdot = rhs(state)
-        return state.copy(), float(np.abs(chi).max()), float(np.abs(bdot).max())
+    def sample(state: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float, float]:
+        return state.copy(), float(np.abs(f[0]).max()), float(np.abs(f[1]).max())
 
     times, samples, max_clip, max_drift = integrate(
-        rhs, np.stack((state0.mix, state0.beta)), cfg.integrator, project, sample,
-        max_drift=1e-6)
+        build_field(scenario, cfg), np.stack((state0.mix, state0.beta)), cfg.integrator,
+        project, sample, max_drift=1e-6)
     states, res_chi, res_beta = zip(*samples)
     states = np.asarray(states)
     return HybridTrajectory(
@@ -238,9 +243,8 @@ def interior_rest_point_check(scenario: HybridScenario, state: HybridState,
     """
     p, b = state.mix, state.beta
     interior = bool(np.all(p > tol) and np.all(b > tol))
-    caps = receiver_sum_capacities(scenario)
-    defects = np.abs((p * b).sum(axis=0) - caps)
-    chi = _field(scenario, np.stack((p, b)), cfg, gated=False)[0]
+    defects = np.abs((p * b).sum(axis=0) - receiver_sum_capacities(scenario))
+    chi = build_field(scenario, cfg, gated=False)(np.stack((p, b)))[0]
     chi_res = float(np.abs(chi).max())
     passes = interior and bool(np.all(defects <= tol)) and chi_res <= tol
     return RestPointReport(interior, defects, chi_res, passes)

@@ -61,7 +61,7 @@ class HybridScenario:
     def n_receivers(self) -> int:
         return self.power.shape[1]
 
-    @property
+    @cached_property
     def log_scale(self) -> float:
         return _log_scale(self.log_base)
 
@@ -69,10 +69,12 @@ class HybridScenario:
     def snr_terms(self) -> np.ndarray:
         return self.power * self.gain / self.noise
 
-    @property
+    @cached_property
     def users(self) -> np.ndarray:
-        """User indices as a column, to broadcast utilities over N x J rates."""
-        return np.arange(self.n_users)[:, None]
+        """User indices as a read-only column, to broadcast over N x J rates."""
+        col = np.arange(self.n_users)[:, None]
+        col.setflags(write=False)
+        return col
 
     def g(self, i, x):
         return self.utility.value(i, x, self.log_scale)

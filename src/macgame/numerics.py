@@ -9,7 +9,7 @@ the dynamics modules rely on that for reproducible runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -18,6 +18,10 @@ from .capacity import ScenarioError
 
 class NumericsError(RuntimeError):
     """Raised on NaN propagation, bad brackets, or integrator blow-up."""
+
+
+#: most fixed steps one integration may take
+MAX_STEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,8 @@ class IntegratorConfig:
             raise ScenarioError(f"must be positive, got {self.t_end!r}", "t_end")
         if self.dt > self.t_end:
             raise ScenarioError(f"must not exceed t_end={self.t_end!r}", "dt")
+        if not self.t_end / self.dt <= MAX_STEPS + 0.5:  # round(t_end / dt) > MAX_STEPS, or inf
+            raise ScenarioError(f"needs over {MAX_STEPS} steps of dt={self.dt!r}", "t_end")
         if self.sample_every < 1:
             raise ScenarioError(f"must be >= 1, got {self.sample_every!r}", "sample_every")
 
@@ -43,17 +49,19 @@ class IntegratorConfig:
         return int(round(self.t_end / self.dt))
 
 
-def rk4_step(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: float) -> np.ndarray:
-    """Classical 4-stage Runge-Kutta update for an autonomous system.
+def rk4_step(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: float,
+             k1: Optional[np.ndarray] = None) -> np.ndarray:
+    """Classical 4-stage Runge-Kutta update for an autonomous system; k1 is
+    rhs(state) when the caller has already evaluated it.
 
     Raises NumericsError if the update produces non-finite values.
     """
-    k1 = rhs(state)
+    k1 = rhs(state) if k1 is None else k1
     k2 = rhs(state + 0.5 * dt * k1)
     k3 = rhs(state + 0.5 * dt * k2)
     k4 = rhs(state + dt * k3)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericsError("rk4_step produced non-finite state")
     return out
 
@@ -61,29 +69,30 @@ def rk4_step(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray, dt: flo
 def integrate(rhs: Callable[[np.ndarray], np.ndarray], state: np.ndarray,
               config: IntegratorConfig,
               project: Callable[[np.ndarray], tuple[np.ndarray, float, float]],
-              sample: Callable[[np.ndarray], Any],
+              sample: Callable[[np.ndarray, np.ndarray], Any],
               max_drift: float) -> tuple[list[float], list[Any], float, float]:
     """Fixed-step RK4 integration with a projection after every step.
 
     project maps the raw RK4 update to (projected state, clip, drift), and
-    a drift above max_drift aborts with NumericsError. sample is applied to
-    the initial state, to every sample_every-th step and to the last step.
-    Returns the sample times, the samples, and the largest clip and drift
-    seen over the run.
+    a drift above max_drift aborts with NumericsError. sample(state, rhs(state))
+    sees the initial state, every sample_every-th step and the last step; that
+    rhs value is the next step's k1, so a run makes 4 n_steps + 1 rhs calls.
+    Returns the sample times, the samples, and the largest clip and drift.
     """
-    times, samples = [0.0], [sample(state)]
+    field = rhs(state)
+    times, samples = [0.0], [sample(state, field)]
     worst_clip = worst_drift = 0.0
     n_steps = config.n_steps
     for step in range(1, n_steps + 1):
         t = step * config.dt
-        state, clip, drift = project(rk4_step(rhs, state, config.dt))
-        worst_clip = max(worst_clip, clip)
-        worst_drift = max(worst_drift, drift)
+        state, clip, drift = project(rk4_step(rhs, state, config.dt, field))
+        worst_clip, worst_drift = max(worst_clip, clip), max(worst_drift, drift)
         if drift > max_drift:
             raise NumericsError(f"normalization drift {drift:.3g} at t={t:.6g}")
-        if step % config.sample_every == 0 or step == n_steps:
+        field = rhs(state) if step % config.sample_every == 0 or step == n_steps else None
+        if field is not None:
             times.append(t)
-            samples.append(sample(state))
+            samples.append(sample(state, field))
     return times, samples, worst_clip, worst_drift
 
 

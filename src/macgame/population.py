@@ -355,8 +355,8 @@ def simulate(mass0, protocol: RevisionProtocol, model: PopulationModel,
         total = float(lam.sum())
         return lam / total, clip, abs(total - 1.0)
 
-    def sample(lam: np.ndarray) -> tuple[np.ndarray, float, float]:
-        return lam.copy(), float(model.grid.points @ lam), float(np.abs(rhs(lam)).max())
+    def sample(lam: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float, float]:
+        return lam.copy(), float(model.grid.points @ lam), float(np.abs(f).max())
 
     times, samples, max_clip, max_drift = integrate(
         rhs, _state(mass0, model.grid).copy(), config, project, sample,

@@ -1,5 +1,7 @@
 """Brute-force oracles that only the tests use: product-grid coalition
-deviation searches and seeded sampling of maximal-face profiles."""
+deviation searches, seeded sampling of maximal-face profiles, and the
+hybrid field and integration loop that rebuild their constants on every
+call."""
 
 import itertools
 
@@ -7,6 +9,9 @@ import numpy as np
 
 from macgame.capacity import (ScenarioError, check_array, coalition_members, coalitions,
                               contains, safe_rates)
+from macgame.hybrid_dynamics import HybridDynConfig, channel_fitness
+from macgame.hybrid_game import HybridScenario, _feasible_unchecked, receiver_sum_capacities
+from macgame.numerics import IntegratorConfig, NumericsError, rk4_step
 from macgame.static_game import StaticGame, payoff
 
 
@@ -73,3 +78,48 @@ def sample_max_face(game: StaticGame, n_samples: int,
         else:
             raise ScenarioError("max-face sampling failed to find a feasible point")
     return out
+
+
+def field_oracle(scenario: HybridScenario, state: np.ndarray, cfg: HybridDynConfig,
+                 gated: bool = True) -> np.ndarray:
+    """Stacked derivative (chi, beta_dot) of a stacked (mix, beta) state,
+    reading every scenario constant afresh on each call.
+
+    With gated set and cfg.gate_switching on, chi is zero wherever the
+    static profile (row sums of beta, mix) is infeasible.
+    """
+    mix, beta = state
+    alpha = beta.sum(axis=1)
+    out = np.empty_like(state)
+    if gated and cfg.gate_switching \
+            and not _feasible_unchecked(scenario, alpha, mix, tol=1e-9):
+        out[0] = 0.0
+    else:
+        u = channel_fitness(scenario, alpha, mix, cfg.channel_fitness)
+        # eta[i, j, j'] = max(0, u_ij' - u_ij)^theta
+        eta = np.maximum(0.0, u[:, None, :] - u[:, :, None]) ** cfg.theta
+        out[0] = np.einsum("ik,ikj->ij", mix, eta) - mix * eta.sum(axis=2)
+    loads = (mix * beta).sum(axis=0)
+    out[1] = -cfg.mu_bar * (loads - receiver_sum_capacities(scenario))[None, :] * mix * beta
+    return out
+
+
+def integrate_oracle(rhs, state: np.ndarray, config: IntegratorConfig, project, sample,
+                     max_drift: float):
+    """The integration loop with sample(state) evaluating the field itself,
+    so every sampled state is evaluated twice: once by sample and again as
+    the next step's k1."""
+    times, samples = [0.0], [sample(state)]
+    worst_clip = worst_drift = 0.0
+    n_steps = config.n_steps
+    for step in range(1, n_steps + 1):
+        t = step * config.dt
+        state, clip, drift = project(rk4_step(rhs, state, config.dt))
+        worst_clip = max(worst_clip, clip)
+        worst_drift = max(worst_drift, drift)
+        if drift > max_drift:
+            raise NumericsError(f"normalization drift {drift:.3g} at t={t:.6g}")
+        if step % config.sample_every == 0 or step == n_steps:
+            times.append(t)
+            samples.append(sample(state))
+    return times, samples, worst_clip, worst_drift

@@ -7,6 +7,7 @@ from macgame.capacity import ScenarioError
 from macgame.hybrid_dynamics import (
     HybridDynConfig,
     HybridState,
+    build_field,
     channel_fitness,
     hybrid_rhs,
     interior_rest_point_check,
@@ -16,9 +17,12 @@ from macgame.hybrid_game import (
     HybridScenario,
     receiver_capacity,
     receiver_sum_capacities,
+    region_tables,
+    single_user_caps,
     solve_cop,
 )
 from macgame.static_game import UtilitySpec
+from oracles import field_oracle, integrate_oracle
 
 
 def example_scenario(utility=None, log_base="2"):
@@ -222,3 +226,109 @@ class TestInteriorRestPoint:
         report = interior_rest_point_check(s, state, cfg, tol=1e-3)
         assert not report.interior
         assert not report.passes
+
+
+def random_scenario(rng, n, nj, family, scaled):
+    utility = UtilitySpec(family, 0.5 if family == "power" else None,
+                          rng.uniform(0.5, 2.0, n) if scaled else None)
+    return HybridScenario(np.ones((n, nj)), rng.uniform(0.1, 0.3, (n, nj)), 0.01, "2", utility)
+
+
+def field_states(rng, s):
+    """Stacked (mix, beta) states: feasible, infeasible, on either side of
+    the gate tolerance, and integrator stages with entries near -1e-17."""
+    n, nj = s.n_users, s.n_receivers
+    member, caps = region_tables(s)
+    single = single_user_caps(s).min(axis=1)
+    states = []
+    for _ in range(3):
+        mix = rng.dirichlet(np.ones(nj), size=n)
+        beta = rng.uniform(0.05, 0.3, n)[:, None] * single[:, None] * mix
+        states += [np.stack((mix, beta)), np.stack((mix, 10.0 * beta))]
+        # scale the rates so the tightest coalition bound is exceeded by delta
+        loads = member @ beta
+        k = np.unravel_index(np.argmin(np.where(loads > 0, caps / loads, np.inf)), caps.shape)
+        for delta in (-1e-10, 5e-10, 2e-9, 1e-8):
+            states.append(np.stack((mix, (caps[k] + delta) / loads[k] * beta)))
+        stage = np.stack((mix, beta))
+        stage[rng.random(stage.shape) < 0.3] = -1e-17 * rng.uniform(0.5, 2.0)
+        states.append(stage)
+    return states
+
+
+class TestBuiltField:
+    """build_field against field_oracle, which reads every constant per call."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("family", ["identity", "log1p", "power"])
+    @pytest.mark.parametrize("fitness", ["payoff", "marginal_utility"])
+    def test_matches_the_oracle_bitwise(self, shape, family, fitness):
+        rng = np.random.default_rng([*shape, sum(map(ord, family + fitness))])
+        feasible_seen = set()
+        for scaled in (False, True):
+            s = random_scenario(rng, *shape, family, scaled)
+            states = field_states(rng, s)
+            member, caps = region_tables(s)
+            feasible_seen |= {bool(np.all(member @ (st[1].sum(axis=1)[:, None] * st[0])
+                                          <= caps + 1e-9)) for st in states}
+            for theta in (1.0, 1.5, 2.0):
+                for switching in (True, False):
+                    cfg = HybridDynConfig(theta=theta, mu_bar=rng.uniform(0.5, 2.0),
+                                          channel_fitness=fitness, gate_switching=switching)
+                    for gated in (True, False):
+                        field = build_field(s, cfg, gated)
+                        for state in states:
+                            want = field_oracle(s, state, cfg, gated)
+                            assert np.array_equal(field(state), want)
+        assert feasible_seen == {True, False}
+
+    def test_rhs_and_rest_point_check_run_the_same_field(self):
+        rng = np.random.default_rng(8)
+        s = random_scenario(rng, 3, 3, "log1p", True)
+        for fitness in ("payoff", "marginal_utility"):
+            cfg = HybridDynConfig(theta=1.5, channel_fitness=fitness)
+            for state in field_states(rng, s)[:6]:
+                hs = HybridState(state[0] / state[0].sum(axis=1, keepdims=True), state[1])
+                stacked = np.stack((hs.mix, hs.beta))
+                assert np.array_equal(np.stack(hybrid_rhs(s, hs, cfg)),
+                                      field_oracle(s, stacked, cfg))
+                chi = field_oracle(s, stacked, cfg, gated=False)[0]
+                report = interior_rest_point_check(s, hs, cfg)
+                assert report.chi_residual == float(np.abs(chi).max())
+
+    @pytest.mark.parametrize("fitness, theta, switching", [
+        ("payoff", 1.0, True), ("payoff", 1.5, True), ("payoff", 2.0, False),
+        ("marginal_utility", 1.0, True), ("marginal_utility", 1.5, False)])
+    def test_simulation_matches_the_oracle_loop(self, fitness, theta, switching):
+        rng = np.random.default_rng(21)
+        s = random_scenario(rng, 2, 3, "power", False)
+        cfg = HybridDynConfig(theta=theta, mu_bar=2.0, dt=0.01, t_end=2.0, sample_every=7,
+                              channel_fitness=fitness, gate_switching=switching)
+        mix0 = rng.dirichlet(np.full(3, 3.0), size=2)
+        state0 = HybridState(mix0, rng.uniform(0.1, 0.3, 2)[:, None] * mix0)
+        traj = simulate_hybrid(s, state0, cfg)
+
+        def rhs(state):
+            return field_oracle(s, state, cfg)
+
+        def project(state):
+            clip = max(-float(state.min()), 0.0)
+            state = np.maximum(state, 0.0)
+            rows = state[0].sum(axis=1, keepdims=True)
+            state[0] /= rows
+            return state, clip, float(np.abs(rows - 1.0).max())
+
+        def sample(state):
+            chi, bdot = rhs(state)
+            return state.copy(), float(np.abs(chi).max()), float(np.abs(bdot).max())
+
+        times, samples, clip, drift = integrate_oracle(
+            rhs, np.stack((state0.mix, state0.beta)), cfg.integrator, project, sample, 1e-6)
+        states, res_chi, res_beta = map(np.asarray, zip(*samples))
+        assert cfg.integrator.n_steps == 200 and traj.times.size == 30
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.mixes, states[:, 0])
+        assert np.array_equal(traj.betas, states[:, 1])
+        assert np.array_equal(traj.residual_chi, res_chi)
+        assert np.array_equal(traj.residual_beta, res_beta)
+        assert (traj.max_clip, traj.max_row_drift) == (clip, drift)

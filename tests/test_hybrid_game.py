@@ -52,6 +52,17 @@ class TestReceiverCapacity:
         assert caps == pytest.approx([math.log2(21), math.log2(41), math.log2(61)])
 
 
+class TestScenarioTables:
+    def test_user_column_is_cached_and_read_only(self):
+        s = example_scenario()
+        users = s.users
+        assert users is s.users
+        assert np.array_equal(users, [[0], [1]])
+        assert not users.flags.writeable
+        with pytest.raises(ValueError):
+            users[0, 0] = 1
+
+
 class TestFeasibility:
     def test_zero_rates_always_feasible(self):
         s = example_scenario()

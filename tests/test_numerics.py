@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macgame.capacity import ScenarioError
 from macgame.numerics import (
+    MAX_STEPS,
     IntegratorConfig,
     NumericsError,
     bisect,
+    integrate,
     project_simplex,
     rk4_step,
 )
+from oracles import integrate_oracle
 
 
 def test_rk4_zero_field_is_identity():
@@ -134,3 +138,42 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=2.0, t_end=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.1, t_end=1.0, sample_every=0)
+
+
+def test_integrator_config_refuses_steps_over_the_cap():
+    assert IntegratorConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps == MAX_STEPS
+    # round(t_end / dt) is still MAX_STEPS half a step past it
+    assert IntegratorConfig(dt=1.0, t_end=MAX_STEPS + 0.5).n_steps == MAX_STEPS
+    for dt, t_end in ((1.0, MAX_STEPS + 1.0), (1e-3, 1e5), (1e-300, 1.0), (1.0, math.inf)):
+        with pytest.raises(ScenarioError) as err:
+            IntegratorConfig(dt=dt, t_end=t_end)
+        assert err.value.key == "t_end"
+
+
+@pytest.mark.parametrize("sample_every", [1, 3, 20])
+def test_integrate_evaluates_each_sampled_state_once(sample_every):
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(5, 5))
+    calls = []
+
+    def rhs(x):
+        calls.append(x.copy())
+        return np.tanh(A @ x) - x * x.sum()
+
+    def project(x):
+        clip = max(-float(x.min()), 0.0)
+        x = np.maximum(x, 0.0)
+        total = float(x.sum())
+        return x / total, clip, abs(total - 1.0)
+
+    config = IntegratorConfig(dt=0.05, t_end=1.0, sample_every=sample_every)
+    x0 = rng.dirichlet(np.ones(5))
+    new = integrate(rhs, x0, config, project, lambda x, f: (x.copy(), f.copy()), max_drift=1.0)
+    assert config.n_steps == 20
+    assert len(calls) == 4 * config.n_steps + 1
+    old = integrate_oracle(rhs, x0, config, project, lambda x: (x.copy(), rhs(x)),
+                           max_drift=1.0)
+    assert new[0] == old[0] and new[2:] == old[2:]
+    assert len(new[1]) == len(old[1]) == 1 + -(-config.n_steps // sample_every)
+    for (x_new, f_new), (x_old, f_old) in zip(new[1], old[1]):
+        assert np.array_equal(x_new, x_old) and np.array_equal(f_new, f_old)

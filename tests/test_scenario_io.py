@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macgame import hybrid_dynamics, population
 from macgame.capacity import ScenarioError
 from macgame.cli import main
 from macgame.hybrid_game import potential_psi, receiver_capacity
@@ -283,8 +284,15 @@ class TestCli:
         ("single_receiver", "power", [25.0, 30.0, 25.0]),
         ("single_receiver", "gain", [1.0, 2.0, 1.0]),
         ("single_receiver", "utility.scale", [1.0, 2.0, 1.0]),
+        # 10^8 steps of dt = 1e-3, over numerics.MAX_STEPS
+        ("hybrid", "t_end", 1e5),
     ])
-    def test_bad_simulate_input_exit_two(self, tmp_path, capsys, kind, key, value):
+    def test_bad_simulate_input_exit_two(self, tmp_path, capsys, monkeypatch, kind, key,
+                                         value):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("a refused scenario started an integration")
+        monkeypatch.setattr(hybrid_dynamics, "integrate", no_integration)
+        monkeypatch.setattr(population, "integrate", no_integration)
         if kind == "hybrid":
             doc = json.loads(json.dumps(HYBRID_EXAMPLE))
         else:
