@@ -5,8 +5,9 @@ p_i over receivers; the effective rate of user i at receiver j is
 beta_ij = alpha_i p_ij. Every receiver imposes its own coalition capacity
 region on the effective rates, so the feasible set couples all users. The
 game is an exact potential game with potential equal to total expected
-utility, which a multi-start projected-gradient ascent maximizes to locate
-equilibria.
+utility. Against fixed opponents a user's best reply has a closed form: all
+of its rate on the receiver with the most room. Rounds of these exact better
+replies, from several starts, locate equilibria.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .capacity import (MAX_USERS, ScenarioError, _check_snr, _log_scale, check_array,
                        coalition_table, safe_rates)
-from .numerics import NumericsError, project_simplex
+from .numerics import NumericsError
 from .static_game import UtilitySpec
 
 
@@ -176,30 +177,39 @@ class SplitResponse:
     feasible: bool
 
 
+def _room(scenario: HybridScenario, beta: np.ndarray) -> np.ndarray:
+    """R_ij for every user i and receiver j at once (N x J): the least, over
+    the coalitions Omega that contain i, of C_{j,Omega} minus the opponents'
+    load sum_{k in Omega, k != i} beta_kj.
+
+    Omega minus i is again a coalition, or empty, so the opponents' load is
+    read from one table of loads indexed by bitmask.
+    """
+    member, caps = region_tables(scenario)
+    load = np.vstack([np.zeros((1, beta.shape[1])), member @ beta])  # row = bitmask
+    i = scenario.users
+    rest = np.arange(1 << (scenario.n_users - 1))
+    # the opponents of each coalition with i: a 0 bit inserted at i into rest
+    opp = ((rest >> i) << (i + 1)) | (rest & ((1 << i) - 1))        # (N, 2^(N-1))
+    return (caps[(opp | (1 << i)) - 1] - load[opp]).min(axis=1)
+
+
 def best_response_split(scenario: HybridScenario, i: int, j: int,
                         others_alpha, others_mix) -> SplitResponse:
     """Best effective rate beta*_ij of user i at receiver j against fixed
     opponents.
 
-    beta* = max(r_{ij,N}, min over coalitions of users active at j that
-    contain i of (C_{j,Omega} - opponents' load inside Omega)). When the
-    capacity left by the opponents falls below the floor, the floor value is
-    returned with the feasibility flag cleared.
+    beta* = max(r_{ij,N}, R_ij), with R_ij the room that _room computes:
+    C_{j,Omega} minus the opponents' load inside Omega, least over the
+    coalitions Omega that contain i. When that room falls below the floor,
+    the floor value is returned with the feasibility flag cleared.
     """
     n = scenario.n_users
     a = check_array(others_alpha, (n,), "others_alpha")
     p = check_array(others_mix, (n, scenario.n_receivers), "others_mix")
-    member, caps = region_tables(scenario)
-    loads = a * p[:, j]
-    loads[i] = 0.0
-    idle = p[:, j] <= 0.0
-    idle[i] = False
-    # coalitions of i and opponents active at j
-    rows = (member[:, i] > 0.0) & ~(member[:, idle] > 0.0).any(axis=1)
-    slack = float(np.min(caps[rows, j] - member[rows] @ loads))
+    slack = float(_room(scenario, a[:, None] * p)[i, j])
     floor = float(safe_rates(scenario)[i, j])
-    value = max(floor, slack)
-    return SplitResponse(value, floor >= slack, slack >= floor - 1e-12)
+    return SplitResponse(max(floor, slack), floor >= slack, slack >= floor - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -234,10 +244,7 @@ def best_receiver_set(scenario: HybridScenario, i: int, beta_row,
 
 def potential_psi(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> float:
     """Exact potential: total expected utility, -inf when infeasible."""
-    return _psi(scenario, *_checked(scenario, alpha, mix, max(tol, 1e-9)), tol)
-
-
-def _psi(scenario: HybridScenario, a: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float:
+    a, p = _checked(scenario, alpha, mix, max(tol, 1e-9))
     if not _feasible_unchecked(scenario, a, p, tol):
         return -math.inf
     return float(np.sum(p * scenario.g(scenario.users, a[:, None] * p), axis=1).sum())
@@ -374,73 +381,56 @@ def _clip_alpha(scenario: HybridScenario, a: np.ndarray, p: np.ndarray,
     return x
 
 
-def ascend_potential(scenario: HybridScenario, alpha, mix, max_iter: int = 400,
-                     trace: Optional[list] = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Projected gradient ascent of the potential from (alpha, mix).
-
-    Each step backtracks until the potential increases, projecting mixes
-    onto the simplex and rates onto the coupled polytope; the ascent stops
-    at the first step that finds no increase. Returns the last accepted
-    (alpha, mix, potential). When a list is passed as trace, the starting
-    and every accepted potential value are appended to it in order.
-    """
-    return _ascend(scenario, *_checked(scenario, alpha, mix), max_iter, trace)
-
-
-def _ascend(scenario: HybridScenario, a: np.ndarray, p: np.ndarray, max_iter: int,
-            trace: Optional[list]) -> tuple[np.ndarray, np.ndarray, float]:
-    val = _psi(scenario, a, p)
-    if trace is not None:
-        trace.append(val)
-    step = 1.0
-    for _ in range(max_iter):
-        beta = a[:, None] * p
-        # power-family marginal blows up at zero rate; evaluate just inside
-        gprime = scenario.g_deriv(scenario.users, np.maximum(beta, 1e-12))
-        gp = scenario.g(scenario.users, beta) + beta * gprime
-        ga = np.sum(p ** 2 * gprime, axis=1)
-        trial = step
-        for _ in range(50):
-            a_new = a + trial * ga
-            p_new = project_simplex(p + trial * gp)
-            a_new = _clip_alpha(scenario, a_new, p_new)
-            v_new = _psi(scenario, a_new, p_new)
-            if v_new > val + 1e-14:
-                a, p, val = a_new, p_new, v_new
-                if trace is not None:
-                    trace.append(val)
-                step = trial * 1.5
-                break
-            trial *= 0.5
-        else:
-            break
-    return a, p, val
-
-
-def solve_cop(scenario: HybridScenario, n_starts: int = 16,
-              seed: int = 0, max_iter: int = 400,
-              trace: Optional[list] = None) -> tuple[HybridProfile, float]:
-    """Multi-start projected gradient ascent of the potential over the
-    feasible set.
+def solve_cop(scenario: HybridScenario, n_starts: int = 16, seed: int = 0,
+              tol: float = 1e-3,
+              trace: Optional[list] = None) -> tuple[HybridProfile, float, int]:
+    """Multi-start rounds of exact better replies on the potential.
 
     Starts draw Dirichlet mix rows and uniform rates below the single-user
-    caps, clipped onto the polytope, and each runs ascend_potential. The
-    best local maximizer over all starts is returned (first index wins
-    ties). When a list is passed as trace, every accepted potential value is
+    caps, clipped onto the polytope. Against fixed opponents, user i's best
+    reply puts all its rate on one receiver, so its value is
+    V_i = max_j g_i(R_ij), with R_ij the room of _room plus the 1e-12 slack
+    that is_hybrid_nash allows. In each round the user with the largest gain
+    V_i - u_i moves to (R_ij*, e_j*), j* the first argmax, until no gain is
+    above tol. Psi is an exact potential, so each move raises it by its gain,
+    more than tol; Psi is bounded, so the rounds end (finite improvement
+    property, Monderer & Shapley 1996).
+
+    Returns the profile, Psi and the number of moves of the start with the
+    highest final Psi (first index wins ties): the best local equilibrium
+    over the starts, not a certified global maximizer of Psi. When a list is
+    passed as trace, each start's Psi and the Psi after every move are
     appended to it in order.
     """
+    if not tol > 0.0:
+        raise ScenarioError(f"must be positive, got {tol!r}", "tol")
     n, nj = scenario.n_users, scenario.n_receivers
+    users = scenario.users
     rng = np.random.default_rng(seed)
     single_caps = single_user_caps(scenario)
-    best_val = -math.inf
-    best: Optional[tuple[np.ndarray, np.ndarray]] = None
+    best: Optional[tuple[np.ndarray, np.ndarray, float, int]] = None
     for _ in range(n_starts):
         p = rng.dirichlet(np.ones(nj), size=n)
-        a = rng.uniform(0.0, single_caps.min(axis=1))
-        a, p, val = _ascend(scenario, _clip_alpha(scenario, a, p), p, max_iter, trace)
-        if val > best_val + 1e-15:
-            best_val = val
-            best = (a.copy(), p.copy())
+        a = _clip_alpha(scenario, rng.uniform(0.0, single_caps.min(axis=1)), p)
+        own = np.sum(p * scenario.g(users, a[:, None] * p), axis=1)
+        if trace is not None:
+            trace.append(float(own.sum()))
+        moves = 0
+        while True:
+            room = np.maximum(_room(scenario, a[:, None] * p) + 1e-12, 0.0)
+            value = scenario.g(users, room)
+            gain = value.max(axis=1) - own
+            i = int(np.argmax(gain))
+            if not gain[i] > tol:
+                break
+            j = int(np.argmax(value[i]))
+            a[i], p[i], own[i] = room[i, j], 0.0, value[i, j]
+            p[i, j] = 1.0
+            moves += 1
+            if trace is not None:
+                trace.append(float(own.sum()))
+        if best is None or own.sum() > best[2] + 1e-15:
+            best = (a, p, float(own.sum()), moves)
     if best is None:
-        raise ScenarioError("no feasible starting point found")
-    return HybridProfile(best[0], best[1]), float(best_val)
+        raise ScenarioError(f"must be at least 1, got {n_starts!r}", "n_starts")
+    return HybridProfile(best[0], best[1]), best[2], best[3]

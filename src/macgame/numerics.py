@@ -39,8 +39,13 @@ class IntegratorConfig:
             raise ScenarioError(f"must be positive, got {self.t_end!r}", "t_end")
         if self.dt > self.t_end:
             raise ScenarioError(f"must not exceed t_end={self.t_end!r}", "dt")
-        if not self.t_end / self.dt <= MAX_STEPS + 0.5:  # round(t_end / dt) > MAX_STEPS, or inf
+        steps = self.t_end / self.dt
+        if not steps <= MAX_STEPS + 0.5:  # round(t_end / dt) > MAX_STEPS, or inf
             raise ScenarioError(f"needs over {MAX_STEPS} steps of dt={self.dt!r}", "t_end")
+        # n_steps rounds t_end / dt, so a remainder would stop the run short of
+        # t_end or carry it past
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ScenarioError(f"must divide t_end={self.t_end!r} into whole steps", "dt")
         if self.sample_every < 1:
             raise ScenarioError(f"must be >= 1, got {self.sample_every!r}", "sample_every")
 

@@ -234,7 +234,7 @@ def _initial_state(initial, grid: ActionGrid) -> np.ndarray:
 
 
 def _hybrid_block(block: dict, task: str, shape: tuple) -> None:
-    # the certified COP ends because every better response gains > nash_tol
+    # the COP's better-reply rounds end because every move gains more than nash_tol
     if not block["nash_tol"] > 0.0:
         raise ScenarioError(f"must be positive, got {block['nash_tol']!r}", "nash_tol")
     hybrid_game.grid_denominator(shape[1], block["dev_resolution"])
@@ -405,24 +405,14 @@ def _analyze_hybrid(sf: ScenarioFile, report: RunReport) -> None:
                         for mask in coalitions(n)]}
             for j in range(scenario.n_receivers)]
     report.metrics["receiver_capacities"] = caps
-    profile, value = hybrid_game.solve_cop(scenario, blk["n_starts"], seed=sf.seed)
-    alpha, mix = profile.alpha, profile.mix
-    verdict = hybrid_game.is_hybrid_nash(scenario, alpha, mix, blk["nash_tol"], blk["dev_resolution"])
-    rounds = 0
-    # Psi is an exact potential, so the witness deviation raises it by its gain,
-    # more than nash_tol, and the ascent only raises it further: the rounds end
-    # (finite improvement property, Monderer & Shapley 1996)
-    while not verdict.ok and verdict.user is not None:
-        alpha, mix = alpha.copy(), mix.copy()
-        alpha[verdict.user], mix[verdict.user] = verdict.deviation_alpha, verdict.deviation_mix
-        alpha, mix, value = hybrid_game.ascend_potential(scenario, alpha, mix)
-        rounds += 1
-        verdict = hybrid_game.is_hybrid_nash(
-            scenario, alpha, mix, blk["nash_tol"], blk["dev_resolution"])
+    profile, value, moves = hybrid_game.solve_cop(scenario, blk["n_starts"], seed=sf.seed,
+                                                  tol=blk["nash_tol"])
+    verdict = hybrid_game.is_hybrid_nash(scenario, profile.alpha, profile.mix,
+                                         blk["nash_tol"], blk["dev_resolution"])
     report.metrics["potential_value"] = value
-    report.metrics["alpha"] = alpha
-    report.metrics["mix"] = mix
-    report.metrics["better_response_rounds"] = rounds
+    report.metrics["alpha"] = profile.alpha
+    report.metrics["mix"] = profile.mix
+    report.metrics["better_response_rounds"] = moves
     report.verdicts["cop_profile_nash"] = verdict.ok
     if not verdict.ok:
         report.metrics["nash_gap"] = verdict.gain

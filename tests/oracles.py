@@ -1,7 +1,7 @@
 """Brute-force oracles that only the tests use: product-grid coalition
-deviation searches, seeded sampling of maximal-face profiles, and the
-hybrid field and integration loop that rebuild their constants on every
-call."""
+deviation searches, seeded sampling of maximal-face profiles, the hybrid
+best replies by one loop over users and coalitions, and the hybrid field
+and integration loop that rebuild their constants on every call."""
 
 import itertools
 
@@ -10,7 +10,8 @@ import numpy as np
 from macgame.capacity import (ScenarioError, check_array, coalition_members, coalitions,
                               contains, safe_rates)
 from macgame.hybrid_dynamics import HybridDynConfig, channel_fitness
-from macgame.hybrid_game import HybridScenario, _feasible_unchecked, receiver_sum_capacities
+from macgame.hybrid_game import (HybridScenario, SplitResponse, _feasible_unchecked,
+                                 receiver_sum_capacities, region_tables)
 from macgame.numerics import IntegratorConfig, NumericsError, rk4_step
 from macgame.static_game import StaticGame, payoff
 
@@ -78,6 +79,48 @@ def sample_max_face(game: StaticGame, n_samples: int,
         else:
             raise ScenarioError("max-face sampling failed to find a feasible point")
     return out
+
+
+def split_response_oracle(scenario: HybridScenario, i: int, j: int,
+                          others_alpha, others_mix) -> SplitResponse:
+    """best_response_split that takes the least slack over the coalitions of
+    i and the opponents active at j only."""
+    n = scenario.n_users
+    a = check_array(others_alpha, (n,), "others_alpha")
+    p = check_array(others_mix, (n, scenario.n_receivers), "others_mix")
+    member, caps = region_tables(scenario)
+    loads = a * p[:, j]
+    loads[i] = 0.0
+    idle = p[:, j] <= 0.0
+    idle[i] = False
+    # coalitions of i and opponents active at j
+    rows = (member[:, i] > 0.0) & ~(member[:, idle] > 0.0).any(axis=1)
+    slack = float(np.min(caps[rows, j] - member[rows] @ loads))
+    floor = float(safe_rates(scenario)[i, j])
+    value = max(floor, slack)
+    return SplitResponse(value, floor >= slack, slack >= floor - 1e-12)
+
+
+def exact_gains_oracle(scenario: HybridScenario, alpha, mix) -> np.ndarray:
+    """Every user's exact best-reply gain max_j g_i(R_ij) - u_i, one user and
+    one coalition at a time. R_ij is the least, over the coalitions Omega
+    that contain i, of C_{j,Omega} + 1e-12 (the slack is_hybrid_nash allows)
+    minus the others' load in Omega at j; a split payoff sum_j p_j g_i(r p_j) is a weighted mean of the
+    g_i(r p_j), so no split beats the best single receiver."""
+    n = scenario.n_users
+    alpha, mix = np.asarray(alpha, float), np.asarray(mix, float)
+    beta = alpha[:, None] * mix
+    gains = np.empty(n)
+    for i in range(n):
+        room = np.full(scenario.n_receivers, np.inf)
+        for mask in coalitions(n):
+            if mask >> i & 1:
+                others = [k for k in coalition_members(mask, n) if k != i]
+                load = beta[others].sum(axis=0)
+                room = np.minimum(room, scenario.cap_table[mask - 1] + 1e-12 - load)
+        best = max(float(scenario.g(i, max(r, 0.0))) for r in room)
+        gains[i] = best - float(np.sum(mix[i] * scenario.g(i, beta[i])))
+    return gains
 
 
 def field_oracle(scenario: HybridScenario, state: np.ndarray, cfg: HybridDynConfig,

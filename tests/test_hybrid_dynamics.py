@@ -117,7 +117,7 @@ class TestSmithRhs:
     def test_nash_profile_is_stationary(self):
         s = example_scenario()
         cfg = HybridDynConfig()
-        profile, _ = solve_cop(s, n_starts=16, seed=0)
+        profile, _, _ = solve_cop(s, n_starts=16, seed=0)
         state = HybridState(profile.mix, profile.split_rates)
         assert np.abs(hybrid_rhs(s, state, cfg)[0]).max() <= 1e-9
 

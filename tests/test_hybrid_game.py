@@ -25,6 +25,7 @@ from macgame.hybrid_game import (
 )
 from macgame.numerics import NumericsError
 from macgame.static_game import UtilitySpec
+from oracles import exact_gains_oracle, split_response_oracle
 
 
 def example_scenario(utility=None, log_base="2"):
@@ -154,6 +155,27 @@ class TestBestResponseSplit:
                     others = sum(alpha[k] * mix[k, j] for k in range(2) if k != i)
                     assert resp.value + others <= receiver_capacity(s, j, 0b11) + 1e-12
 
+    @pytest.mark.parametrize("n, nj", [(1, 2), (2, 3), (3, 2), (4, 3)])
+    def test_matches_the_active_coalition_oracle(self, n, nj):
+        # idle opponents (p_kj = 0) drop out of the oracle's coalitions but
+        # not out of the room kernel's; saturated ones sit at their
+        # single-user caps, which pushes the room below the floor
+        rng = np.random.default_rng(100 + 10 * n + nj)
+        s = HybridScenario(rng.uniform(0.5, 2.0, (n, nj)), rng.uniform(0.1, 0.3, (n, nj)), 0.01)
+        for trial in range(20):
+            mix = rng.dirichlet(np.ones(nj), size=n)
+            mix[rng.random((n, nj)) < 0.4] = 0.0
+            mix[np.arange(n), rng.integers(nj, size=n)] += 1e-3
+            mix /= mix.sum(axis=1, keepdims=True)
+            alpha = (single_user_caps(s).min(axis=1) if trial % 2
+                     else rng.uniform(0.0, 2.0, n))
+            for i in range(n):
+                for j in range(nj):
+                    ref = split_response_oracle(s, i, j, alpha, mix)
+                    resp = best_response_split(s, i, j, alpha, mix)
+                    assert abs(resp.value - ref.value) <= 1e-12
+                    assert (resp.floor_active, resp.feasible) == (ref.floor_active, ref.feasible)
+
 
 class TestBestReceiverSet:
     def test_strict_argmax(self):
@@ -218,14 +240,14 @@ class TestPotential:
 class TestSolveCop:
     def test_single_user_single_receiver(self):
         s = HybridScenario(np.array([[2.0]]), np.array([[1.5]]), 0.5)
-        profile, value = solve_cop(s, n_starts=4, seed=1)
+        profile, value, _ = solve_cop(s, n_starts=4, seed=1)
         cap = receiver_capacity(s, 0, 0b1)
         assert profile.alpha[0] == pytest.approx(cap, abs=1e-6)
         assert value == pytest.approx(cap, abs=1e-6)
 
     def test_single_user_three_receivers_against_grid(self):
         s = HybridScenario(np.ones((1, 3)), np.array([[0.1, 0.2, 0.3]]), 0.01)
-        profile, value = solve_cop(s, n_starts=8, seed=0)
+        profile, value, _ = solve_cop(s, n_starts=8, seed=0)
         caps = [receiver_capacity(s, j, 0b1) for j in range(3)]
         best = 0.0
         for p1 in np.arange(0.0, 1.0001, 0.01):
@@ -237,17 +259,47 @@ class TestSolveCop:
                 best = max(best, float(np.sum(p * (a_max * p))))
         assert value >= best - 1e-4
 
-    def test_ascent_trace_is_monotone(self):
+    def test_trace_starts_at_the_start_and_rises_by_more_than_tol(self):
         s = example_scenario()
+        # the start solve_cop(seed=5) draws, clipped onto the polytope
+        rng = np.random.default_rng(5)
+        mix = rng.dirichlet(np.ones(3), size=2)
+        alpha = _clip_alpha(s, rng.uniform(0.0, single_user_caps(s).min(axis=1)), mix)
         trace: list = []
-        _, value = solve_cop(s, n_starts=1, seed=5, trace=trace)
-        assert len(trace) > 2
-        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        _, value, moves = solve_cop(s, n_starts=1, seed=5, tol=1e-3, trace=trace)
+        assert trace[0] == potential_psi(s, alpha, mix)
+        assert len(trace) == moves + 1 and moves >= 1
+        assert all(b - a > 1e-3 for a, b in zip(trace, trace[1:]))
         assert value == trace[-1]
+
+    def test_one_start_passes_the_ascent_stop(self):
+        # the projected ascent from this start stopped at Psi = 4.3923
+        _, value, _ = solve_cop(example_scenario(), n_starts=1, seed=5)
+        assert value == pytest.approx(9.3465, abs=1e-4)
+
+    @pytest.mark.parametrize("family", ["identity", "log1p", "power"])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_rounds_end_at_an_exact_equilibrium(self, family, scaled):
+        rng = np.random.default_rng(["identity", "log1p", "power"].index(family) + 3 * scaled)
+        for _ in range(3):
+            n, nj = rng.integers(1, 5, size=2)
+            scale = rng.uniform(0.5, 2.0, n) if scaled else None
+            gamma = 0.5 if family == "power" else None
+            s = HybridScenario(rng.uniform(0.5, 2.0, (n, nj)), rng.uniform(0.1, 0.3, (n, nj)),
+                               0.01, utility=UtilitySpec(family, gamma, scale))
+            profile, value, _ = solve_cop(s, n_starts=4, seed=int(rng.integers(100)), tol=1e-3)
+            assert value == potential_psi(s, profile.alpha, profile.mix)
+            assert exact_gains_oracle(s, profile.alpha, profile.mix).max() <= 1e-3
+            for resolution in (0.05, 0.02):
+                assert is_hybrid_nash(s, profile.alpha, profile.mix, 1e-3, resolution).ok
+
+    def test_refuses_a_tolerance_that_need_not_end_the_rounds(self):
+        with pytest.raises(ScenarioError, match="tol"):
+            solve_cop(example_scenario(), n_starts=1, tol=0.0)
 
     def test_example_scenario_profile_is_feasible_with_tight_receiver(self):
         s = example_scenario()
-        profile, value = solve_cop(s, n_starts=16, seed=0)
+        profile, value, _ = solve_cop(s, n_starts=16, seed=0)
         assert hybrid_feasible(s, profile.alpha, profile.mix, 1e-9)
         member_loads = (profile.alpha[:, None] * profile.mix)
         weighted = (profile.mix * member_loads).sum(axis=0)
@@ -263,9 +315,9 @@ class TestSolveCop:
 
     def test_deterministic_for_fixed_seed(self):
         s = example_scenario()
-        p1, v1 = solve_cop(s, n_starts=4, seed=7)
-        p2, v2 = solve_cop(s, n_starts=4, seed=7)
-        assert v1 == v2
+        p1, v1, m1 = solve_cop(s, n_starts=4, seed=7)
+        p2, v2, m2 = solve_cop(s, n_starts=4, seed=7)
+        assert (v1, m1) == (v2, m2)
         assert np.array_equal(p1.alpha, p2.alpha)
         assert np.array_equal(p1.mix, p2.mix)
 
@@ -284,7 +336,7 @@ class TestIsHybridNash:
 
     def test_solve_cop_output_is_nash(self):
         s = example_scenario()
-        profile, _ = solve_cop(s, n_starts=16, seed=0)
+        profile, _, _ = solve_cop(s, n_starts=16, seed=0)
         assert is_hybrid_nash(s, profile.alpha, profile.mix,
                               tol=1e-3, dev_resolution=0.05).ok
 

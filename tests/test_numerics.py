@@ -142,8 +142,12 @@ def test_integrator_config_validation():
 
 def test_integrator_config_refuses_steps_over_the_cap():
     assert IntegratorConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps == MAX_STEPS
-    # round(t_end / dt) is still MAX_STEPS half a step past it
-    assert IntegratorConfig(dt=1.0, t_end=MAX_STEPS + 0.5).n_steps == MAX_STEPS
+    # a float remainder far below the whole-step bound still rounds to the cap
+    assert IntegratorConfig(dt=0.1, t_end=MAX_STEPS * 0.1).n_steps == MAX_STEPS
+    # half a step past the cap is no whole number of steps
+    with pytest.raises(ScenarioError) as err:
+        IntegratorConfig(dt=1.0, t_end=MAX_STEPS + 0.5)
+    assert err.value.key == "dt"
     for dt, t_end in ((1.0, MAX_STEPS + 1.0), (1e-3, 1e5), (1e-300, 1.0), (1.0, math.inf)):
         with pytest.raises(ScenarioError) as err:
             IntegratorConfig(dt=dt, t_end=t_end)

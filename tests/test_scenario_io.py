@@ -11,6 +11,7 @@ from macgame.capacity import ScenarioError
 from macgame.cli import main
 from macgame.hybrid_game import potential_psi, receiver_capacity
 from macgame.scenario_io import ScenarioFile, parse_doc, parse_scenario, run
+from oracles import exact_gains_oracle
 
 
 def write(tmp_path, name, doc):
@@ -192,8 +193,8 @@ class TestRunHybridAnalyzeVerify:
         report = run(parse_doc(bad))
         assert report.verdicts["profile_is_hybrid_nash"] is False
 
-    def test_cop_corner_trap_is_certified(self):
-        # solve_cop alone ends on the corner mix ((0,0,1), (0,1,0)) at
+    def test_cop_passes_the_ascent_corner_trap(self):
+        # the projected ascent ended on the corner mix ((0,0,1), (0,1,0)) at
         # potential 4.8225, where user 1 gains 0.1377 by moving
         gain = np.random.default_rng(139).uniform(0.1, 0.3, (2, 3)).tolist()
         doc = dict(self.BASE, task="analyze", gain=gain, utility={"family": "log1p"})
@@ -204,6 +205,21 @@ class TestRunHybridAnalyzeVerify:
         sc = parse_doc(doc).scenario
         assert report.metrics["potential_value"] == potential_psi(
             sc, report.metrics["alpha"], report.metrics["mix"])
+
+    def test_cop_is_an_exact_equilibrium_where_the_rate_grid_is_coarse(self):
+        # the certified ascent reported Psi = 4.29166 here, and a verdict of
+        # true, yet user 1 gained 5.8e-3 by sending rate 4.5515 to receiver 3
+        # alone: the verifier's 101 rates step by 0.13
+        doc = dict(self.BASE, task="analyze", seed=15,
+                   gain=[[0.2205, 0.148, 0.2245], [0.1715, 0.2469, 0.1581]],
+                   utility={"family": "power", "gamma": 0.5},
+                   analyze={"n_starts": 16, "dev_resolution": 0.05, "nash_tol": 1e-3})
+        sf = parse_doc(doc)
+        report = run(sf)
+        assert report.verdicts["cop_profile_nash"] is True
+        assert report.metrics["potential_value"] > 4.2917
+        gains = exact_gains_oracle(sf.scenario, report.metrics["alpha"], report.metrics["mix"])
+        assert gains.max() <= 1e-3
 
 
 def test_shipped_demo_scenarios_parse():
@@ -286,6 +302,9 @@ class TestCli:
         ("single_receiver", "utility.scale", [1.0, 2.0, 1.0]),
         # 10^8 steps of dt = 1e-3, over numerics.MAX_STEPS
         ("hybrid", "t_end", 1e5),
+        # t_end / dt is no whole number of steps (1.0 / 0.3 and 2.0 / 0.3)
+        ("single_receiver", "dt", 0.3),
+        ("hybrid", "dt", 0.3),
     ])
     def test_bad_simulate_input_exit_two(self, tmp_path, capsys, monkeypatch, kind, key,
                                          value):
@@ -297,7 +316,7 @@ class TestCli:
             doc = json.loads(json.dumps(HYBRID_EXAMPLE))
         else:
             doc = dict(MINIMAL_SINGLE, task="simulate",
-                       simulate={"grid_points": 21, "dt": 0.01, "t_end": 0.1})
+                       simulate={"grid_points": 21, "dt": 0.01, "t_end": 1.0})
         if key in doc["simulate"]:
             key = f"simulate.{key}"
         if key.startswith("utility."):
