@@ -229,6 +229,25 @@ def contains(region: CapacityRegion, rates, tol: float = 1e-9) -> bool:
     return bool(np.all(region.table.member @ a <= region.bounds[1:] + tol))
 
 
+def room(caps: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """R[..., i, j] for rates of shape (..., N, J) and a (2^N - 1, J) bound
+    table in coalition-table order: the least, over the coalitions Omega
+    that contain i, of caps[Omega, j] minus the others' load
+    sum_{k in Omega, k != i} rates[..., k, j].
+
+    Omega minus i is again a coalition, or empty, so the others' load is
+    read from one table of loads indexed by bitmask.
+    """
+    n = rates.shape[-2]
+    load = coalition_table(n).member @ rates
+    load = np.concatenate([np.zeros_like(load[..., :1, :]), load], axis=-2)  # row = bitmask
+    i = np.arange(n)[:, None]
+    rest = np.arange(1 << (n - 1))
+    # the others of each coalition with i: a 0 bit inserted at i into rest
+    opp = ((rest >> i) << (i + 1)) | (rest & ((1 << i) - 1))        # (N, 2^(N-1))
+    return (caps[(opp | (1 << i)) - 1] - load[..., opp, :]).min(axis=-2)
+
+
 def safe_rates(scenario, omega: Optional[int] = None) -> np.ndarray:
     """r_{i,Omega} of every member i of coalition omega (every user when None):
     the rate i sustains when the other members are noise,

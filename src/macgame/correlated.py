@@ -5,8 +5,10 @@ user its own component. Because a deviation rule is a per-signal choice, a
 finite-support device is an equilibrium exactly when, for every user and
 every distinct recommended value, obeying beats every constant deviation in
 conditional expectation. Deviations that leave the capacity region earn zero
-through the payoff indicator, so the deviation grid needs no feasibility
-pre-filter.
+through the payoff indicator: against one atom, user i's deviation r is
+feasible exactly when r is at most i's room in capacity.room (plus 1e-12),
+or never when a coalition without i is already over its bound. So each
+user's deviation table is one comparison of the grid with that room.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import ScenarioError, check_array
+from .capacity import ScenarioError, check_array, room
 from .static_game import StaticGame, is_nash
 
 MERGE_TOL = 1e-12
@@ -90,22 +92,6 @@ class CceVerdict:
         return self.ok
 
 
-def _conditional_payoffs(game: StaticGame, i: int, atoms: np.ndarray,
-                         rates: np.ndarray) -> np.ndarray:
-    """Payoff of user i under each candidate own-rate, against each atom's
-    opponent profile; rows are candidate rates, columns atoms."""
-    member = game.region.table.member
-    bound = game.region.bounds[1:] + 1e-12
-    others = atoms.copy()
-    others[:, i] = 0.0
-    other_sum = others @ member.T                   # (atoms, masks)
-    with_i = member[:, i] > 0.0
-    feas = np.all(rates[:, None, None] + other_sum[None, :, with_i] <= bound[with_i], axis=2)
-    feas &= np.all(other_sum[:, ~with_i] <= bound[~with_i], axis=1)[None, :]
-    values = np.asarray(game.g(i, rates), dtype=float)
-    return feas * values[:, None]
-
-
 def is_cce(device: CorrelatedDevice, game: StaticGame,
            dev_points: int = 501, tol: float = 1e-9) -> CceVerdict:
     """Verify the correlated-equilibrium inequalities on the device support.
@@ -118,19 +104,25 @@ def is_cce(device: CorrelatedDevice, game: StaticGame,
     if device.n_users != game.n_users:
         raise ScenarioError("device and game disagree on the user count")
     atoms = device.profiles
+    member, bounds = game.region.table.member, game.region.bounds[1:]
+    load = atoms @ member.T
     # how far each atom leaves the region: below zero or over a coalition bound
-    excess = np.maximum(-atoms.min(axis=1),
-                        (atoms @ game.region.table.member.T - game.region.bounds[1:]).max(axis=1))
+    excess = np.maximum(-atoms.min(axis=1), (load - bounds).max(axis=1))
     infeasible = np.flatnonzero(excess > 1e-9)
     if infeasible.size:
         raise ScenarioError(f"support profile {infeasible[0]} is infeasible")
     # obedience payoff of every user at every atom, zero off the region
     own = np.where(excess[:, None] <= 1e-12, game.g(np.arange(game.n_users), atoms), 0.0)
+    # reach[k, i]: the largest own rate of user i that atom k's opponents
+    # leave feasible, -inf where a coalition without i is over its bound
+    reach = room(bounds[:, None], atoms[:, :, None])[:, :, 0] + 1e-12
+    over = load > bounds + 1e-12
+    reach[(over[:, :, None] & (member == 0.0)).any(axis=1)] = -np.inf
     weights = device.weights
     worst: Optional[CceWitness] = None
     for i in range(game.n_users):
         dev_grid = np.linspace(0.0, game.region.bound(1 << i), dev_points)
-        payoff_table = _conditional_payoffs(game, i, atoms, dev_grid)
+        payoff_table = (dev_grid[:, None] <= reach[:, i]) * game.g(i, dev_grid)[:, None]
         recommended = atoms[:, i]
         groups = _group_values(recommended)
         for signal, members in groups:

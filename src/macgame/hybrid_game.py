@@ -5,9 +5,12 @@ p_i over receivers; the effective rate of user i at receiver j is
 beta_ij = alpha_i p_ij. Every receiver imposes its own coalition capacity
 region on the effective rates, so the feasible set couples all users. The
 game is an exact potential game with potential equal to total expected
-utility. Against fixed opponents a user's best reply has a closed form: all
-of its rate on the receiver with the most room. Rounds of these exact better
-replies, from several starts, locate equilibria.
+utility. A user's room at receiver j, the least over the coalitions that
+contain it of the bound minus the others' load, is read from
+capacity.room. Against fixed opponents a user's best reply has a closed
+form: all of its rate on the receiver with the most room. Rounds of these
+exact better replies, from several starts, locate equilibria, and the grid
+verifier bounds every deviation by the same room.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .capacity import (MAX_USERS, ScenarioError, _check_snr, _log_scale, check_array,
-                       coalition_table, safe_rates)
+                       coalition_table, room, safe_rates)
 from .numerics import NumericsError
 from .static_game import UtilitySpec
 
@@ -177,37 +180,22 @@ class SplitResponse:
     feasible: bool
 
 
-def _room(scenario: HybridScenario, beta: np.ndarray) -> np.ndarray:
-    """R_ij for every user i and receiver j at once (N x J): the least, over
-    the coalitions Omega that contain i, of C_{j,Omega} minus the opponents'
-    load sum_{k in Omega, k != i} beta_kj.
-
-    Omega minus i is again a coalition, or empty, so the opponents' load is
-    read from one table of loads indexed by bitmask.
-    """
-    member, caps = region_tables(scenario)
-    load = np.vstack([np.zeros((1, beta.shape[1])), member @ beta])  # row = bitmask
-    i = scenario.users
-    rest = np.arange(1 << (scenario.n_users - 1))
-    # the opponents of each coalition with i: a 0 bit inserted at i into rest
-    opp = ((rest >> i) << (i + 1)) | (rest & ((1 << i) - 1))        # (N, 2^(N-1))
-    return (caps[(opp | (1 << i)) - 1] - load[opp]).min(axis=1)
-
-
 def best_response_split(scenario: HybridScenario, i: int, j: int,
                         others_alpha, others_mix) -> SplitResponse:
     """Best effective rate beta*_ij of user i at receiver j against fixed
     opponents.
 
-    beta* = max(r_{ij,N}, R_ij), with R_ij the room that _room computes:
+    beta* = max(r_{ij,N}, R_ij), with R_ij the room of capacity.room:
     C_{j,Omega} minus the opponents' load inside Omega, least over the
     coalitions Omega that contain i. When that room falls below the floor,
     the floor value is returned with the feasibility flag cleared.
     """
-    n = scenario.n_users
-    a = check_array(others_alpha, (n,), "others_alpha")
-    p = check_array(others_mix, (n, scenario.n_receivers), "others_mix")
-    slack = float(_room(scenario, a[:, None] * p)[i, j])
+    if not 0 <= i < scenario.n_users:
+        raise ScenarioError(f"user index {i} out of range")
+    if not 0 <= j < scenario.n_receivers:
+        raise ScenarioError(f"receiver index {j} out of range")
+    a, p = _checked(scenario, others_alpha, others_mix)
+    slack = float(room(scenario.cap_table, a[:, None] * p)[i, j])
     floor = float(safe_rates(scenario)[i, j])
     return SplitResponse(max(floor, slack), floor >= slack, slack >= floor - 1e-12)
 
@@ -313,39 +301,30 @@ def is_hybrid_nash(scenario: HybridScenario, alpha, mix, tol: float = 1e-3,
 
     Every utility is strictly increasing, so on a simplex row p the payoff
     sum_j p_j g_i(r p_j) increases with r, and the feasible grid rates are a
-    prefix of the rate grid. The best rate of the row is the last one at or
-    below r_max(p) = min over coalitions Omega with i and receivers j with
-    p_j > 0 of room_{Omega,j} / p_j; that index and the next are re-checked
-    with the inequality itself, so division rounding cannot move it. The
-    witness is the first row with the largest gain.
+    prefix of the rate grid: rate r is feasible when r p_j <= R_ij + 1e-12
+    on every receiver, R the room of capacity.room. The best rate of the
+    row is the last one at or below r_max(p) = min over j with p_j > 0 of
+    (R_ij + 1e-12) / p_j; that index and the next are re-checked with the
+    inequality itself, so division rounding cannot move it. The witness is
+    the first row with the largest gain.
     """
     a, p = _checked(scenario, alpha, mix)
     if not _feasible_unchecked(scenario, a, p, tol=1e-9):
         return HybridNashVerdict(False, gain=math.inf)
     simplex = _simplex_grid(scenario.n_receivers, dev_resolution)
     beta = a[:, None] * p
-    member, caps = region_tables(scenario)
+    limit = room(scenario.cap_table, beta) + 1e-12
     rate_his = single_user_caps(scenario).sum(axis=1)
     own = np.sum(p * scenario.g(scenario.users, beta), axis=1)
     for i in range(scenario.n_users):
-        # opponents' load and the bound of every coalition containing i
-        with_i = member[:, i] > 0.0
-        others = beta.copy()
-        others[i] = 0.0
-        load = member[with_i] @ others                       # (masks, J)
-        cap = caps[with_i] + 1e-12
-        if not np.all(load <= cap):
+        if (limit[i] < 0.0).any():
             continue                  # not even rate 0 is feasible on any row
         rates = np.linspace(0.0, rate_his[i], rate_points)
-        room = (cap - load).min(axis=0)
-        r_max = np.divide(room, simplex, out=np.full(simplex.shape, math.inf),
+        r_max = np.divide(limit[i], simplex, out=np.full(simplex.shape, math.inf),
                           where=simplex > 0.0).min(axis=1)
         k = np.searchsorted(rates, r_max, side="right") - 1
         pair = np.stack([k, np.minimum(k + 1, rate_points - 1)], axis=1)
-        trial = rates[pair][:, :, None] * simplex[:, None, :]    # (rows, 2, J)
-        ok = np.ones(pair.shape, dtype=bool)
-        for load_m, cap_m in zip(load, cap):
-            ok &= np.all(trial + load_m <= cap_m, axis=2)
+        ok = np.all(rates[pair][:, :, None] * simplex[:, None, :] <= limit[i], axis=2)
         k = np.where(ok[:, 1], pair[:, 1], np.where(ok[:, 0], k, k - 1))
         vals = np.sum(simplex * scenario.g(i, rates[k][:, None] * simplex), axis=1)
         gains = vals - own[i]
@@ -389,12 +368,12 @@ def solve_cop(scenario: HybridScenario, n_starts: int = 16, seed: int = 0,
     Starts draw Dirichlet mix rows and uniform rates below the single-user
     caps, clipped onto the polytope. Against fixed opponents, user i's best
     reply puts all its rate on one receiver, so its value is
-    V_i = max_j g_i(R_ij), with R_ij the room of _room plus the 1e-12 slack
-    that is_hybrid_nash allows. In each round the user with the largest gain
-    V_i - u_i moves to (R_ij*, e_j*), j* the first argmax, until no gain is
-    above tol. Psi is an exact potential, so each move raises it by its gain,
-    more than tol; Psi is bounded, so the rounds end (finite improvement
-    property, Monderer & Shapley 1996).
+    V_i = max_j g_i(R_ij), with R_ij the room of capacity.room plus the
+    1e-12 slack that is_hybrid_nash allows. In each round the user with the
+    largest gain V_i - u_i moves to (R_ij*, e_j*), j* the first argmax,
+    until no gain is above tol. Psi is an exact potential, so each move
+    raises it by its gain, more than tol; Psi is bounded, so the rounds end
+    (finite improvement property, Monderer & Shapley 1996).
 
     Returns the profile, Psi and the number of moves of the start with the
     highest final Psi (first index wins ties): the best local equilibrium
@@ -417,14 +396,14 @@ def solve_cop(scenario: HybridScenario, n_starts: int = 16, seed: int = 0,
             trace.append(float(own.sum()))
         moves = 0
         while True:
-            room = np.maximum(_room(scenario, a[:, None] * p) + 1e-12, 0.0)
-            value = scenario.g(users, room)
+            reply = np.maximum(room(scenario.cap_table, a[:, None] * p) + 1e-12, 0.0)
+            value = scenario.g(users, reply)
             gain = value.max(axis=1) - own
             i = int(np.argmax(gain))
             if not gain[i] > tol:
                 break
             j = int(np.argmax(value[i]))
-            a[i], p[i], own[i] = room[i, j], 0.0, value[i, j]
+            a[i], p[i], own[i] = reply[i, j], 0.0, value[i, j]
             p[i, j] = 1.0
             moves += 1
             if trace is not None:

@@ -25,6 +25,7 @@ from .capacity import (
     check_array,
     contains,
     on_max_face,
+    room,
     safe_rates,
     _log_scale,
 )
@@ -163,11 +164,10 @@ def best_response_info(game: StaticGame, i: int, others) -> tuple[float, bool]:
 
 def _best_replies(game: StaticGame, a: np.ndarray) -> np.ndarray:
     """Every user's best-reply rate against the others' rates in a:
-    max(r_{i,N}, a_i + min over coalitions Omega containing i of C_Omega - a(Omega))."""
-    member = game.region.table.member
-    room = game.region.bounds[1:] - member @ a
-    least = np.where(member > 0.0, room[:, None], np.inf).min(axis=0)
-    return np.maximum(safe_rates(game.scenario), a + least)
+    max(r_{i,N}, min over coalitions Omega containing i of C_Omega minus
+    the others' rates in Omega), the room of capacity.room."""
+    reply = room(game.region.bounds[1:, None], a[:, None])[:, 0]
+    return np.maximum(safe_rates(game.scenario), reply)
 
 
 def is_nash(game: StaticGame, rates, tol: float = 1e-9) -> bool:

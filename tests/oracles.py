@@ -1,7 +1,8 @@
 """Brute-force oracles that only the tests use: product-grid coalition
-deviation searches, seeded sampling of maximal-face profiles, the hybrid
-best replies by one loop over users and coalitions, and the hybrid field
-and integration loop that rebuild their constants on every call."""
+deviation searches, seeded sampling of maximal-face profiles, the coalition
+room and the hybrid best replies by one loop over users and coalitions, the
+per-user CCE deviation table over every coalition, and the hybrid field and
+integration loop that rebuild their constants on every call."""
 
 import itertools
 
@@ -79,6 +80,40 @@ def sample_max_face(game: StaticGame, n_samples: int,
         else:
             raise ScenarioError("max-face sampling failed to find a feasible point")
     return out
+
+
+def room_oracle(caps: np.ndarray, rates) -> np.ndarray:
+    """capacity.room by one loop over users and coalitions: R[..., i, j] is
+    the least, over the coalitions Omega that contain i, of caps[Omega - 1, j]
+    minus the sum of the others' rates[..., k, j] in Omega."""
+    rates = np.asarray(rates, dtype=float)
+    n = rates.shape[-2]
+    out = np.full(rates.shape, np.inf)
+    for i in range(n):
+        for mask in coalitions(n):
+            if mask >> i & 1:
+                others = [k for k in coalition_members(mask, n) if k != i]
+                load = rates[..., others, :].sum(axis=-2)
+                out[..., i, :] = np.minimum(out[..., i, :], caps[mask - 1] - load)
+    return out
+
+
+def cce_table_oracle(game: StaticGame, i: int, atoms: np.ndarray,
+                     rates: np.ndarray) -> np.ndarray:
+    """Payoff of user i under each candidate own rate, against each atom's
+    opponent profile, from every coalition bound plus 1e-12; rows are
+    candidate rates, columns atoms. A coalition without i that the
+    opponents alone break makes every rate infeasible."""
+    member = game.region.table.member
+    bound = game.region.bounds[1:] + 1e-12
+    others = atoms.copy()
+    others[:, i] = 0.0
+    other_sum = others @ member.T                   # (atoms, masks)
+    with_i = member[:, i] > 0.0
+    feas = np.all(rates[:, None, None] + other_sum[None, :, with_i] <= bound[with_i], axis=2)
+    feas &= np.all(other_sum[:, ~with_i] <= bound[~with_i], axis=1)[None, :]
+    values = np.asarray(game.g(i, rates), dtype=float)
+    return feas * values[:, None]
 
 
 def split_response_oracle(scenario: HybridScenario, i: int, j: int,

@@ -11,11 +11,14 @@ from macgame.capacity import (
     _log_scale,
     SingleReceiverScenario,
     build_region,
+    coalition_table,
     coalitions,
     contains,
     on_max_face,
+    room,
     safe_rates,
 )
+from oracles import room_oracle
 
 
 def symmetric3():
@@ -179,3 +182,18 @@ def test_safe_rates_match_the_scalar_formula(hybrid):
             assert np.all(np.abs(row - ref) <= 1e-15 * np.abs(ref))
         if omega == (1 << n) - 1:
             assert np.array_equal(safe_rates(s), got)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("nj", range(1, 5))
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+def test_room_matches_the_loop_oracle(n, nj, batch):
+    rng = np.random.default_rng(1000 * n + 10 * nj + len(batch))
+    caps = np.log2(1.0 + coalition_table(n).member @ rng.uniform(1.0, 300.0, (n, nj)))
+    rates = rng.uniform(0.0, 4.0, batch + (n, nj))
+    got, want = room(caps, rates), room_oracle(caps, rates)
+    assert got.shape == batch + (n, nj)
+    # relative to the operands: the loads are summed in another order, and
+    # a room near zero is a difference of two such sums
+    scale = caps.max(axis=0) + rates.sum(axis=-2, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)

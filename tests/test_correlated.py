@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from macgame.capacity import ScenarioError, SingleReceiverScenario, safe_rates
-from macgame.correlated import (MERGE_TOL, CorrelatedDevice, _merge_duplicates, is_cce,
-                                mixture_of_nash)
-from macgame.static_game import is_nash, make_game
+from macgame.correlated import (MERGE_TOL, CceVerdict, CceWitness, CorrelatedDevice,
+                                _group_values, _merge_duplicates, is_cce, mixture_of_nash)
+from macgame.static_game import UtilitySpec, _corners, is_nash, make_game
 
-from oracles import sample_max_face
+from oracles import cce_table_oracle, sample_max_face
 
 
 def sym_game(n=2, ph=25.0, noise=0.1):
@@ -143,3 +145,64 @@ class TestIsCce:
         cn = g.region.sum_capacity
         with pytest.raises(ScenarioError):
             is_cce(CorrelatedDevice(np.array([[cn, cn]]), np.array([1.0])), g)
+
+
+def table_oracle_verdict(device, game, dev_points=501, tol=1e-9):
+    """is_cce with each user's deviation table read from cce_table_oracle."""
+    atoms = device.profiles
+    member, bounds = game.region.table.member, game.region.bounds[1:]
+    excess = np.maximum(-atoms.min(axis=1), (atoms @ member.T - bounds).max(axis=1))
+    own = np.where(excess[:, None] <= 1e-12, game.g(np.arange(game.n_users), atoms), 0.0)
+    worst = None
+    for i in range(game.n_users):
+        dev_grid = np.linspace(0.0, game.region.bound(1 << i), dev_points)
+        table = cce_table_oracle(game, i, atoms, dev_grid)
+        for signal, members in _group_values(atoms[:, i]):
+            w = device.weights[members] / device.weights[members].sum()
+            dev_values = table[:, members] @ w
+            k = int(np.argmax(dev_values))
+            gain = float(dev_values[k]) - float(own[members, i] @ w)
+            if gain > tol and (worst is None or gain > worst.gain):
+                worst = CceWitness(i, float(signal), float(dev_grid[k]), gain)
+    return CceVerdict(worst is None, worst)
+
+
+def random_device(game, rng, n_atoms, push):
+    """Convex mixes of the successive-cancellation corners, every fourth atom
+    scaled by 0.85 or 0.9995. With push, every third atom is instead the
+    corner of the order of ascending utility scale, with the last user of a
+    random proper prefix Omega of that order raised by 5e-10, so that Omega
+    is 5e-10 over C_Omega: the users outside Omega then have no feasible
+    deviation against it. A member of Omega gains its own rate by stepping
+    back; with the lower scales, that gain need not be the largest."""
+    n = game.n_users
+    corners = _corners(game, np.array(list(itertools.permutations(range(n)))))
+    w = rng.random((n_atoms, corners.shape[0]))
+    profiles = (w / w.sum(axis=1, keepdims=True)) @ corners
+    profiles[::4] *= rng.choice([0.85, 0.9995], size=(len(profiles[::4]), 1))
+    scale = np.ones(n) if game.utility.scale is None else game.utility.scale
+    order = np.argsort(scale, kind="stable")
+    for k in range(2, n_atoms, 3) if push else ():
+        profiles[k] = _corners(game, order[None])[0]
+        profiles[k, order[int(rng.integers(n - 1))]] += 5e-10
+    weights = rng.random(n_atoms) + 0.2
+    return CorrelatedDevice(profiles, weights / weights.sum())
+
+
+@pytest.mark.parametrize("utility", [UtilitySpec(), UtilitySpec("log1p"),
+                                     UtilitySpec("power", 0.5)],
+                         ids=["identity", "log1p", "power0.5"])
+def test_is_cce_matches_the_table_oracle(utility):
+    # a per-user scale lets a user outside a pushed coalition hold the
+    # largest gain, so the witness depends on the -inf rule
+    rng = np.random.default_rng(len(utility.family))
+    for trial in range(48):
+        n = 2 + trial % 3
+        scale = rng.uniform(0.2, 5.0, n) if trial % 3 else None
+        game = make_game(SingleReceiverScenario(rng.uniform(5.0, 40.0, n), np.ones(n), 0.1),
+                         UtilitySpec(utility.family, utility.gamma, scale))
+        device = random_device(game, rng, int(rng.integers(4, 65)), push=trial % 2 == 1)
+        tol = 1e-9 if trial % 4 < 2 else 1e-6
+        got, want = is_cce(device, game, tol=tol), table_oracle_verdict(device, game, tol=tol)
+        assert (got.ok, got.witness) == (want.ok, want.witness)
+

@@ -155,6 +155,16 @@ class TestBestResponseSplit:
                     others = sum(alpha[k] * mix[k, j] for k in range(2) if k != i)
                     assert resp.value + others <= receiver_capacity(s, j, 0b11) + 1e-12
 
+    def test_refuses_bad_indices_and_negative_rates(self):
+        s = example_scenario()
+        mix = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.25]])
+        for i, j, alpha in [(0, -1, [1.0, -5.0]), (-2, 0, [1.0, 5.0]), (0, -1, [1.0, 5.0]),
+                            (0, 3, [1.0, 5.0]), (2, 0, [1.0, 5.0]), (0, 0, [1.0, -5.0])]:
+            with pytest.raises(ScenarioError):
+                best_response_split(s, i, j, alpha, mix)
+        with pytest.raises(ScenarioError, match="rows must sum to one"):
+            best_response_split(s, 0, 0, [1.0, 5.0], 2.0 * mix)
+
     @pytest.mark.parametrize("n, nj", [(1, 2), (2, 3), (3, 2), (4, 3)])
     def test_matches_the_active_coalition_oracle(self, n, nj):
         # idle opponents (p_kj = 0) drop out of the oracle's coalitions but
