@@ -21,17 +21,12 @@ from .hybrid_dynamics import (
     HybridDynConfig,
     HybridState,
     HybridTrajectory,
-    hybrid_rhs,
     interior_rest_point_check,
     simulate_hybrid,
 )
 from .hybrid_game import (
     HybridProfile,
     HybridScenario,
-    best_receiver_set,
-    best_response_split,
-    expected_payoff,
-    hybrid_feasible,
     is_hybrid_nash,
     potential_psi,
     receiver_capacity,

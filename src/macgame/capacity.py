@@ -248,23 +248,18 @@ def room(caps: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return (caps[(opp | (1 << i)) - 1] - load[..., opp, :]).min(axis=-2)
 
 
-def safe_rates(scenario, omega: Optional[int] = None) -> np.ndarray:
-    """r_{i,Omega} of every member i of coalition omega (every user when None):
-    the rate i sustains when the other members are noise,
+def safe_rates(scenario) -> np.ndarray:
+    """r_{i,N} of every user i: the rate i sustains when every other user
+    is noise,
 
-    r_{i,Omega} = log(1 + P_i h_i / (sigma0^2 + sum_{i' in Omega, i' != i} P_i' h_i')).
+    r_{i,N} = log(1 + P_i h_i / (sigma0^2 + sum_{i' != i} P_i' h_i')).
 
-    Rows follow the members in ascending order. A hybrid scenario, whose
-    power and gain are N x J, gets one column per receiver.
+    A hybrid scenario, whose power and gain are N x J, gets one column per
+    receiver.
     """
-    n = scenario.n_users
-    if omega is None:
-        omega = (1 << n) - 1
-    if not 1 <= omega < (1 << n):
-        raise ScenarioError(f"coalition mask {omega} out of range")
-    terms = (scenario.power * scenario.gain)[np.flatnonzero(omega >> np.arange(n) & 1)]
+    terms = scenario.power * scenario.gain
     # other[k, i] = 1 for k != i: the interference is summed over the other
-    # members rather than taken as total minus own term, so nothing cancels
+    # users rather than taken as total minus own term, so nothing cancels
     m = terms.shape[0]
     other = np.expand_dims(1.0 - np.eye(m), tuple(range(2, terms.ndim + 1)))
     interference = (other * terms[:, None]).sum(axis=0)

@@ -4,11 +4,12 @@ A correlating device draws a full rate profile and privately recommends each
 user its own component. Because a deviation rule is a per-signal choice, a
 finite-support device is an equilibrium exactly when, for every user and
 every distinct recommended value, obeying beats every constant deviation in
-conditional expectation. Deviations that leave the capacity region earn zero
-through the payoff indicator: against one atom, user i's deviation r is
-feasible exactly when r is at most i's room in capacity.room (plus 1e-12),
-or never when a coalition without i is already over its bound. So each
-user's deviation table is one comparison of the grid with that room.
+conditional expectation. One slack, 1e-9, serves the whole check: an atom
+is accepted when it is at most that far outside the region, obedience pays
+g_i at every accepted atom, and against one atom user i's deviation r is
+feasible exactly when r is at most i's room in capacity.room plus that
+slack. Deviations that leave the region earn zero, so each user's
+deviation table is one comparison of the grid with that room.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .capacity import ScenarioError, check_array, room
 from .static_game import StaticGame, is_nash
 
 MERGE_TOL = 1e-12
+
+#: how far an atom or a deviation may sit outside the capacity region
+CCE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,10 +44,6 @@ class CorrelatedDevice:
         w.setflags(write=False)
         object.__setattr__(self, "profiles", p)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def n_atoms(self) -> int:
-        return self.weights.size
 
     @property
     def n_users(self) -> int:
@@ -105,19 +105,17 @@ def is_cce(device: CorrelatedDevice, game: StaticGame,
         raise ScenarioError("device and game disagree on the user count")
     atoms = device.profiles
     member, bounds = game.region.table.member, game.region.bounds[1:]
-    load = atoms @ member.T
     # how far each atom leaves the region: below zero or over a coalition bound
-    excess = np.maximum(-atoms.min(axis=1), (load - bounds).max(axis=1))
-    infeasible = np.flatnonzero(excess > 1e-9)
+    excess = np.maximum(-atoms.min(axis=1), (atoms @ member.T - bounds).max(axis=1))
+    infeasible = np.flatnonzero(excess > CCE_SLACK)
     if infeasible.size:
         raise ScenarioError(f"support profile {infeasible[0]} is infeasible")
-    # obedience payoff of every user at every atom, zero off the region
-    own = np.where(excess[:, None] <= 1e-12, game.g(np.arange(game.n_users), atoms), 0.0)
+    # obedience payoff of every user at every atom; a rate up to the slack
+    # below zero earns g_i(0), as the power family is undefined below it
+    own = game.g(np.arange(game.n_users), np.maximum(atoms, 0.0))
     # reach[k, i]: the largest own rate of user i that atom k's opponents
-    # leave feasible, -inf where a coalition without i is over its bound
-    reach = room(bounds[:, None], atoms[:, :, None])[:, :, 0] + 1e-12
-    over = load > bounds + 1e-12
-    reach[(over[:, :, None] & (member == 0.0)).any(axis=1)] = -np.inf
+    # leave feasible
+    reach = room(bounds[:, None], atoms[:, :, None])[:, :, 0] + CCE_SLACK
     weights = device.weights
     worst: Optional[CceWitness] = None
     for i in range(game.n_users):

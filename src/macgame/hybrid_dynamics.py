@@ -31,12 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .capacity import ScenarioError, check_array
-from .hybrid_game import (
-    HybridScenario,
-    receiver_sum_capacities,
-    region_tables,
-    single_user_caps,
-)
+from .hybrid_game import HybridScenario, region_tables, single_user_caps
 from .numerics import IntegratorConfig, integrate, write_csv
 
 FITNESS_FIELDS = ("payoff", "marginal_utility")
@@ -131,19 +126,6 @@ def build_field(scenario: HybridScenario, cfg: HybridDynConfig,
         return out
 
     return field
-
-
-def hybrid_rhs(scenario: HybridScenario, state: HybridState,
-               cfg: HybridDynConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(chi, beta_dot) at a state: the field simulate_hybrid integrates.
-
-    Every row of the mix derivative chi sums to zero exactly; zero splits
-    stay zero under the split-rate growth law.
-    """
-    if state.mix.shape != (scenario.n_users, scenario.n_receivers):
-        raise ScenarioError("state shape does not match the scenario")
-    chi, beta_dot = build_field(scenario, cfg)(np.stack((state.mix, state.beta)))
-    return chi, beta_dot
 
 
 @dataclass
@@ -241,9 +223,11 @@ def interior_rest_point_check(scenario: HybridScenario, state: HybridState,
     ungated field is used so the certificate reflects the flow itself rather
     than a feasibility freeze.
     """
+    if state.mix.shape != (scenario.n_users, scenario.n_receivers):
+        raise ScenarioError("state shape does not match the scenario")
     p, b = state.mix, state.beta
     interior = bool(np.all(p > tol) and np.all(b > tol))
-    defects = np.abs((p * b).sum(axis=0) - receiver_sum_capacities(scenario))
+    defects = np.abs((p * b).sum(axis=0) - scenario.cap_table[-1])
     chi = build_field(scenario, cfg, gated=False)(np.stack((p, b)))[0]
     chi_res = float(np.abs(chi).max())
     passes = interior and bool(np.all(defects <= tol)) and chi_res <= tol

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .capacity import (MAX_USERS, ScenarioError, _check_snr, _log_scale, check_array,
-                       coalition_table, room, safe_rates)
+                       coalition_table, room)
 from .numerics import NumericsError
 from .static_game import UtilitySpec
 
@@ -115,11 +115,6 @@ def receiver_capacity(scenario: HybridScenario, j: int, omega: int) -> float:
     return float(region_tables(scenario)[1][omega - 1, j])
 
 
-def receiver_sum_capacities(scenario: HybridScenario) -> np.ndarray:
-    """C_{j,N} for every receiver."""
-    return region_tables(scenario)[1][-1].copy()
-
-
 def single_user_caps(scenario: HybridScenario) -> np.ndarray:
     """N x J table of C_{j,{i}}."""
     return region_tables(scenario)[1][(1 << np.arange(scenario.n_users)) - 1]
@@ -146,17 +141,6 @@ class HybridProfile:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "mix", p)
 
-    @property
-    def split_rates(self) -> np.ndarray:
-        """beta_ij = alpha_i p_ij."""
-        return self.alpha[:, None] * self.mix
-
-
-def hybrid_feasible(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> bool:
-    """True when every receiver's coalition bounds hold for the effective
-    rates: sum_{i in Omega} alpha_i p_ij <= C_{j,Omega} for all j, Omega."""
-    return _feasible_unchecked(scenario, *_checked(scenario, alpha, mix, max(tol, 1e-9)), tol)
-
 
 def _feasible_unchecked(scenario: HybridScenario, a: np.ndarray, p: np.ndarray,
                         tol: float) -> bool:
@@ -164,74 +148,10 @@ def _feasible_unchecked(scenario: HybridScenario, a: np.ndarray, p: np.ndarray,
     return bool(np.all(member @ (a[:, None] * p) <= caps + tol))
 
 
-def expected_payoff(scenario: HybridScenario, alpha, mix, i: int,
-                    tol: float = 1e-9) -> float:
-    """sum_j p_ij g_i(alpha_i p_ij), zero when the profile is infeasible."""
-    a, p = _checked(scenario, alpha, mix, max(tol, 1e-9))
-    if not _feasible_unchecked(scenario, a, p, tol):
-        return 0.0
-    return float(np.sum(p[i] * scenario.g(i, a[i] * p[i])))
-
-
-@dataclass(frozen=True)
-class SplitResponse:
-    value: float
-    floor_active: bool
-    feasible: bool
-
-
-def best_response_split(scenario: HybridScenario, i: int, j: int,
-                        others_alpha, others_mix) -> SplitResponse:
-    """Best effective rate beta*_ij of user i at receiver j against fixed
-    opponents.
-
-    beta* = max(r_{ij,N}, R_ij), with R_ij the room of capacity.room:
-    C_{j,Omega} minus the opponents' load inside Omega, least over the
-    coalitions Omega that contain i. When that room falls below the floor,
-    the floor value is returned with the feasibility flag cleared.
-    """
-    if not 0 <= i < scenario.n_users:
-        raise ScenarioError(f"user index {i} out of range")
-    if not 0 <= j < scenario.n_receivers:
-        raise ScenarioError(f"receiver index {j} out of range")
-    a, p = _checked(scenario, others_alpha, others_mix)
-    slack = float(room(scenario.cap_table, a[:, None] * p)[i, j])
-    floor = float(safe_rates(scenario)[i, j])
-    return SplitResponse(max(floor, slack), floor >= slack, slack >= floor - 1e-12)
-
-
-@dataclass(frozen=True)
-class ReceiverChoice:
-    """Best-reply receiver set of one user given its split rates."""
-
-    receivers: tuple[int, ...]
-    alpha: float
-    mix: np.ndarray
-    unique: bool
-
-
-def best_receiver_set(scenario: HybridScenario, i: int, beta_row,
-                      tie_tol: float = 1e-9) -> ReceiverChoice:
-    """Receivers maximizing g_i(beta_ij).
-
-    A strict winner gets the whole probability mass and alpha = beta at the
-    winner. Under ties every mix supported on the argmax set is a best reply;
-    the uniform representative is returned and alpha sums the tied splits.
-    """
-    beta = check_array(beta_row, (scenario.n_receivers,), "beta_row")
-    values = np.asarray(scenario.g(i, np.maximum(beta, 0.0)), dtype=float)
-    best = float(values.max())
-    members = tuple(int(j) for j in range(values.size) if values[j] >= best - tie_tol)
-    mix = np.zeros(values.size)
-    if len(members) == 1:
-        mix[members[0]] = 1.0
-        return ReceiverChoice(members, float(beta[members[0]]), mix, True)
-    mix[list(members)] = 1.0 / len(members)
-    return ReceiverChoice(members, float(beta[list(members)].sum()), mix, False)
-
-
 def potential_psi(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> float:
-    """Exact potential: total expected utility, -inf when infeasible."""
+    """Exact potential: total expected utility sum_i sum_j p_ij g_i(alpha_i p_ij),
+    -inf when a coalition bound is exceeded by more than tol. It is also the
+    feasibility test: a profile is feasible exactly when Psi > -inf."""
     a, p = _checked(scenario, alpha, mix, max(tol, 1e-9))
     if not _feasible_unchecked(scenario, a, p, tol):
         return -math.inf
@@ -240,6 +160,9 @@ def potential_psi(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> fl
 
 #: largest deviation simplex grid that is_hybrid_nash builds
 MAX_SIMPLEX_ROWS = 1 << 20
+
+#: points of is_hybrid_nash's rate grid over [0, sum_j C_{j,{i}}]
+RATE_POINTS = 101
 
 
 def grid_denominator(n_receivers: int, resolution: float) -> int:
@@ -291,8 +214,7 @@ class HybridNashVerdict:
 
 
 def is_hybrid_nash(scenario: HybridScenario, alpha, mix, tol: float = 1e-3,
-                   dev_resolution: float = 0.02,
-                   rate_points: int = 101) -> HybridNashVerdict:
+                   dev_resolution: float = 0.02) -> HybridNashVerdict:
     """Grid verification of the equilibrium property.
 
     The profile itself must be feasible; then no user may gain more than tol
@@ -319,11 +241,11 @@ def is_hybrid_nash(scenario: HybridScenario, alpha, mix, tol: float = 1e-3,
     for i in range(scenario.n_users):
         if (limit[i] < 0.0).any():
             continue                  # not even rate 0 is feasible on any row
-        rates = np.linspace(0.0, rate_his[i], rate_points)
+        rates = np.linspace(0.0, rate_his[i], RATE_POINTS)
         r_max = np.divide(limit[i], simplex, out=np.full(simplex.shape, math.inf),
                           where=simplex > 0.0).min(axis=1)
         k = np.searchsorted(rates, r_max, side="right") - 1
-        pair = np.stack([k, np.minimum(k + 1, rate_points - 1)], axis=1)
+        pair = np.stack([k, np.minimum(k + 1, RATE_POINTS - 1)], axis=1)
         ok = np.all(rates[pair][:, :, None] * simplex[:, None, :] <= limit[i], axis=2)
         k = np.where(ok[:, 1], pair[:, 1], np.where(ok[:, 0], k, k - 1))
         vals = np.sum(simplex * scenario.g(i, rates[k][:, None] * simplex), axis=1)

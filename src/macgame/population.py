@@ -53,14 +53,6 @@ class ActionGrid:
         object.__setattr__(self, "points", pts)
 
     @property
-    def lo(self) -> float:
-        return float(self.points[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.points[-1])
-
-    @property
     def n_points(self) -> int:
         return self.points.size
 

@@ -11,8 +11,7 @@ import numpy as np
 from macgame.capacity import (ScenarioError, check_array, coalition_members, coalitions,
                               contains, safe_rates)
 from macgame.hybrid_dynamics import HybridDynConfig, channel_fitness
-from macgame.hybrid_game import (HybridScenario, SplitResponse, _feasible_unchecked,
-                                 receiver_sum_capacities, region_tables)
+from macgame.hybrid_game import HybridScenario, _feasible_unchecked
 from macgame.numerics import IntegratorConfig, NumericsError, rk4_step
 from macgame.static_game import StaticGame, payoff
 
@@ -101,39 +100,17 @@ def room_oracle(caps: np.ndarray, rates) -> np.ndarray:
 def cce_table_oracle(game: StaticGame, i: int, atoms: np.ndarray,
                      rates: np.ndarray) -> np.ndarray:
     """Payoff of user i under each candidate own rate, against each atom's
-    opponent profile, from every coalition bound plus 1e-12; rows are
-    candidate rates, columns atoms. A coalition without i that the
-    opponents alone break makes every rate infeasible."""
+    opponent profile, from every coalition bound that contains i plus the
+    1e-9 slack; rows are candidate rates, columns atoms."""
     member = game.region.table.member
-    bound = game.region.bounds[1:] + 1e-12
+    bound = game.region.bounds[1:] + 1e-9
     others = atoms.copy()
     others[:, i] = 0.0
     other_sum = others @ member.T                   # (atoms, masks)
     with_i = member[:, i] > 0.0
     feas = np.all(rates[:, None, None] + other_sum[None, :, with_i] <= bound[with_i], axis=2)
-    feas &= np.all(other_sum[:, ~with_i] <= bound[~with_i], axis=1)[None, :]
     values = np.asarray(game.g(i, rates), dtype=float)
     return feas * values[:, None]
-
-
-def split_response_oracle(scenario: HybridScenario, i: int, j: int,
-                          others_alpha, others_mix) -> SplitResponse:
-    """best_response_split that takes the least slack over the coalitions of
-    i and the opponents active at j only."""
-    n = scenario.n_users
-    a = check_array(others_alpha, (n,), "others_alpha")
-    p = check_array(others_mix, (n, scenario.n_receivers), "others_mix")
-    member, caps = region_tables(scenario)
-    loads = a * p[:, j]
-    loads[i] = 0.0
-    idle = p[:, j] <= 0.0
-    idle[i] = False
-    # coalitions of i and opponents active at j
-    rows = (member[:, i] > 0.0) & ~(member[:, idle] > 0.0).any(axis=1)
-    slack = float(np.min(caps[rows, j] - member[rows] @ loads))
-    floor = float(safe_rates(scenario)[i, j])
-    value = max(floor, slack)
-    return SplitResponse(value, floor >= slack, slack >= floor - 1e-12)
 
 
 def exact_gains_oracle(scenario: HybridScenario, alpha, mix) -> np.ndarray:
@@ -178,7 +155,7 @@ def field_oracle(scenario: HybridScenario, state: np.ndarray, cfg: HybridDynConf
         eta = np.maximum(0.0, u[:, None, :] - u[:, :, None]) ** cfg.theta
         out[0] = np.einsum("ik,ikj->ij", mix, eta) - mix * eta.sum(axis=2)
     loads = (mix * beta).sum(axis=0)
-    out[1] = -cfg.mu_bar * (loads - receiver_sum_capacities(scenario))[None, :] * mix * beta
+    out[1] = -cfg.mu_bar * (loads - scenario.cap_table[-1])[None, :] * mix * beta
     return out
 
 

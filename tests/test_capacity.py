@@ -109,16 +109,7 @@ def test_safe_rate_values():
     r = safe_rates(s2)[0]
     assert r == pytest.approx(math.log2(1 + 250.0 / 251.0), abs=1e-12)
     assert r == pytest.approx(0.9971, abs=1e-4)
-    # singleton coalition equals the single-user bound
-    region2 = build_region(s2)
-    assert safe_rates(s2, 0b01) == pytest.approx([region2.bound(0b01)], abs=1e-15)
-    s3 = symmetric3()
-    assert safe_rates(s3, 0b111)[0] == pytest.approx(0.5840, abs=1e-4)
-    # one rate per member of the coalition
-    assert safe_rates(s3, 0b110) == pytest.approx([r, r], abs=1e-12)
-    for mask in (0, 0b1000):
-        with pytest.raises(ScenarioError):
-            safe_rates(s3, mask)
+    assert safe_rates(symmetric3())[0] == pytest.approx(0.5840, abs=1e-4)
 
 
 def test_max_face_membership():
@@ -153,13 +144,13 @@ def test_floor_is_exactly_the_singleton_complement_gap():
         assert floors[i] == pytest.approx(gap, rel=1e-12)
 
 
-def scalar_safe_rate(scenario, i, omega, j=None):
-    """r_{i,Omega} (at receiver j of a hybrid scenario) by the scalar
-    per-member formula, kept as the oracle of safe_rates."""
+def scalar_safe_rate(scenario, i, j=None):
+    """r_{i,N} (at receiver j of a hybrid scenario) by the scalar per-user
+    formula, kept as the oracle of safe_rates."""
     terms = scenario.power * scenario.gain
     if j is not None:
         terms = terms[:, j]
-    interference = sum(terms[k] for k in range(scenario.n_users) if omega >> k & 1 and k != i)
+    interference = sum(terms[k] for k in range(scenario.n_users) if k != i)
     return math.log1p(terms[i] / (scenario.noise + interference)) / _log_scale(scenario.log_base)
 
 
@@ -172,16 +163,12 @@ def test_safe_rates_match_the_scalar_formula(hybrid):
         args = (rng.uniform(0.01, 100.0, shape), rng.uniform(0.01, 3.0, shape),
                 rng.uniform(0.01, 2.0), str(rng.choice(["2", "e"])))
         s = HybridScenario(*args) if hybrid else SingleReceiverScenario(*args)
-        omega = int(rng.integers(1, 1 << n))
-        got = safe_rates(s, omega)
-        members = [i for i in range(n) if omega >> i & 1]
-        assert got.shape == (len(members),) + shape[1:]
-        for row, i in zip(got, members):
-            ref = ([scalar_safe_rate(s, i, omega, j) for j in range(shape[1])] if hybrid
-                   else scalar_safe_rate(s, i, omega))
+        got = safe_rates(s)
+        assert got.shape == shape
+        for i, row in enumerate(got):
+            ref = ([scalar_safe_rate(s, i, j) for j in range(shape[1])] if hybrid
+                   else scalar_safe_rate(s, i))
             assert np.all(np.abs(row - ref) <= 1e-15 * np.abs(ref))
-        if omega == (1 << n) - 1:
-            assert np.array_equal(safe_rates(s), got)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -36,7 +36,7 @@ class TestDevice:
     def test_near_duplicates_merge(self):
         base = np.array([1.0, 2.0])
         dev = CorrelatedDevice(np.array([base, base + 1e-14]), np.array([0.4, 0.6]))
-        assert dev.n_atoms == 1
+        assert dev.weights.size == 1
         assert dev.weights[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_merge_matches_the_pairwise_loop(self):
@@ -146,13 +146,41 @@ class TestIsCce:
         with pytest.raises(ScenarioError):
             is_cce(CorrelatedDevice(np.array([[cn, cn]]), np.array([1.0])), g)
 
+    def test_nash_corner_within_the_slack_is_a_cce(self):
+        # user 0 at C_{0} + 5e-10 passes is_nash at 1e-9, so obedience pays
+        # at the atom as the deviations do
+        g = make_game(SingleReceiverScenario(np.array([10.0, 20.0, 30.0]), np.ones(3), 0.1),
+                      UtilitySpec("log1p"))
+        corner = _corners(g, np.array([[0, 1, 2]]))[0]
+        corner[0] += 5e-10
+        assert is_nash(g, corner, 1e-9)
+        assert is_cce(CorrelatedDevice(corner[None], np.array([1.0])), g).ok
+        assert is_cce(mixture_of_nash(g, [corner], [1.0]), g).ok
+
+    def test_opponents_within_the_slack_leave_room_to_deviate(self):
+        g = make_game(SingleReceiverScenario(np.array([10.0, 20.0]), np.ones(2), 0.1),
+                      UtilitySpec("log1p"))
+        atom = np.array([[g.region.bound(1) + 5e-10, 0.0]])
+        w = is_cce(CorrelatedDevice(atom, np.array([1.0])), g).witness
+        assert (w.user, w.signal) == (1, 0.0)
+        assert w.gain == pytest.approx(1.357, abs=1e-3)
+        atom[0, 0] += 1.5e-9                   # now 2e-9 over C_{0}
+        with pytest.raises(ScenarioError, match="infeasible"):
+            is_cce(CorrelatedDevice(atom, np.array([1.0])), g)
+
+    def test_rate_within_the_slack_below_zero_earns_nothing(self):
+        # the power family is undefined below zero; obedience there earns g(0)
+        g = make_game(SingleReceiverScenario(np.array([10.0, 20.0]), np.ones(2), 0.1),
+                      UtilitySpec("power", 0.5))
+        atom = np.array([[-5e-10, g.region.bound(2)]])
+        w = is_cce(CorrelatedDevice(atom, np.array([1.0])), g).witness
+        assert w.user == 0 and w.gain == pytest.approx(g.g(0, w.deviation), abs=1e-12)
+
 
 def table_oracle_verdict(device, game, dev_points=501, tol=1e-9):
     """is_cce with each user's deviation table read from cce_table_oracle."""
     atoms = device.profiles
-    member, bounds = game.region.table.member, game.region.bounds[1:]
-    excess = np.maximum(-atoms.min(axis=1), (atoms @ member.T - bounds).max(axis=1))
-    own = np.where(excess[:, None] <= 1e-12, game.g(np.arange(game.n_users), atoms), 0.0)
+    own = game.g(np.arange(game.n_users), np.maximum(atoms, 0.0))
     worst = None
     for i in range(game.n_users):
         dev_grid = np.linspace(0.0, game.region.bound(1 << i), dev_points)
@@ -172,9 +200,8 @@ def random_device(game, rng, n_atoms, push):
     scaled by 0.85 or 0.9995. With push, every third atom is instead the
     corner of the order of ascending utility scale, with the last user of a
     random proper prefix Omega of that order raised by 5e-10, so that Omega
-    is 5e-10 over C_Omega: the users outside Omega then have no feasible
-    deviation against it. A member of Omega gains its own rate by stepping
-    back; with the lower scales, that gain need not be the largest."""
+    is 5e-10 over C_Omega, inside the slack: the atom is accepted and every
+    user's room against it is read with the slack."""
     n = game.n_users
     corners = _corners(game, np.array(list(itertools.permutations(range(n)))))
     w = rng.random((n_atoms, corners.shape[0]))
@@ -194,7 +221,7 @@ def random_device(game, rng, n_atoms, push):
                          ids=["identity", "log1p", "power0.5"])
 def test_is_cce_matches_the_table_oracle(utility):
     # a per-user scale lets a user outside a pushed coalition hold the
-    # largest gain, so the witness depends on the -inf rule
+    # largest gain, so the witness depends on how the slack reads its room
     rng = np.random.default_rng(len(utility.family))
     for trial in range(48):
         n = 2 + trial % 3

@@ -9,14 +9,12 @@ from macgame.hybrid_dynamics import (
     HybridState,
     build_field,
     channel_fitness,
-    hybrid_rhs,
     interior_rest_point_check,
     simulate_hybrid,
 )
 from macgame.hybrid_game import (
     HybridScenario,
     receiver_capacity,
-    receiver_sum_capacities,
     region_tables,
     single_user_caps,
     solve_cop,
@@ -39,8 +37,7 @@ def example_initial_state(scenario):
 
 def mix_rhs(scenario, alpha, mix, cfg):
     alpha = np.asarray(alpha, dtype=float)
-    chi, _ = hybrid_rhs(scenario, HybridState(mix, alpha[:, None] * mix), cfg)
-    return chi
+    return build_field(scenario, cfg)(np.stack((mix, alpha[:, None] * mix)))[0]
 
 
 class TestSwitchRate:
@@ -74,8 +71,8 @@ class TestSmithRhs:
         s = example_scenario()
         cfg = HybridDynConfig()
         mix = np.full((2, 3), 1 / 3)
-        state = HybridState(mix, np.array([1.0, 0.5])[:, None] * mix)
-        assert np.abs(hybrid_rhs(s, state, cfg)[0]).max() == 0.0
+        beta = np.array([1.0, 0.5])[:, None] * mix
+        assert np.abs(build_field(s, cfg)(np.stack((mix, beta)))[0]).max() == 0.0
 
     def test_row_sums_vanish(self):
         s = example_scenario()
@@ -84,7 +81,7 @@ class TestSmithRhs:
         for _ in range(25):
             mix = rng.dirichlet(np.ones(3), size=2)
             beta = rng.uniform(0, 1.0, size=(2, 3))
-            chi, _ = hybrid_rhs(s, HybridState(mix, beta), cfg)
+            chi = build_field(s, cfg)(np.stack((mix, beta)))[0]
             assert np.abs(chi.sum(axis=1)).max() <= 1e-13
 
     def test_fixed_rates_flow_toward_higher_payoff(self):
@@ -92,9 +89,8 @@ class TestSmithRhs:
         cfg = HybridDynConfig(gate_switching=False)   # alpha=(10,20) is infeasible
         mix = np.array([[0.2, 0.3, 0.5], [0.25, 0.5, 0.25]])
         alpha = np.array([10.0, 20.0])
-        state = HybridState(mix, alpha[:, None] * mix)
         u = channel_fitness(s, alpha, mix, "payoff")
-        chi, _ = hybrid_rhs(s, state, cfg)
+        chi = build_field(s, cfg)(np.stack((mix, alpha[:, None] * mix)))[0]
         for i in range(2):
             assert chi[i, int(np.argmax(u[i]))] > 0.0
             assert chi[i, int(np.argmin(u[i]))] < 0.0
@@ -106,9 +102,8 @@ class TestSmithRhs:
         for _ in range(25):
             mix = rng.dirichlet(np.ones(3), size=2)
             beta = rng.uniform(0, 1.0, size=(2, 3))
-            state = HybridState(mix, beta)
-            u = channel_fitness(s, state.alpha, mix, cfg.channel_fitness)
-            chi, _ = hybrid_rhs(s, state, cfg)
+            u = channel_fitness(s, beta.sum(axis=1), mix, cfg.channel_fitness)
+            chi = build_field(s, cfg)(np.stack((mix, beta)))[0]
             d = float((chi * u).sum())
             assert d >= -1e-12
             if np.abs(chi).max() > 1e-9:
@@ -118,8 +113,8 @@ class TestSmithRhs:
         s = example_scenario()
         cfg = HybridDynConfig()
         profile, _, _ = solve_cop(s, n_starts=16, seed=0)
-        state = HybridState(profile.mix, profile.split_rates)
-        assert np.abs(hybrid_rhs(s, state, cfg)[0]).max() <= 1e-9
+        beta = profile.alpha[:, None] * profile.mix
+        assert np.abs(build_field(s, cfg)(np.stack((profile.mix, beta)))[0]).max() <= 1e-9
 
 
 class TestGfunctionRhs:
@@ -127,17 +122,15 @@ class TestGfunctionRhs:
         s = example_scenario()
         cfg = HybridDynConfig()
         mix = np.full((2, 3), 1 / 3)
-        state = HybridState(mix, np.zeros((2, 3)))
-        assert np.all(hybrid_rhs(s, state, cfg)[1] == 0.0)
+        assert np.all(build_field(s, cfg)(np.stack((mix, np.zeros((2, 3)))))[1] == 0.0)
 
     def test_filled_capacity_is_stationary(self):
         s = example_scenario()
         cfg = HybridDynConfig()
-        caps = receiver_sum_capacities(s)
+        caps = s.cap_table[-1]
         mix = np.full((2, 3), 1 / 3)
         beta = np.vstack([1.5 * caps, 1.5 * caps])  # sum_i p_ij beta_ij = C_j
-        state = HybridState(mix, beta)
-        assert np.abs(hybrid_rhs(s, state, cfg)[1]).max() <= 1e-12
+        assert np.abs(build_field(s, cfg)(np.stack((mix, beta)))[1]).max() <= 1e-12
 
     def test_single_user_logistic_solution(self):
         s = HybridScenario(np.array([[1.0]]), np.array([[0.1]]), 0.01)
@@ -194,7 +187,7 @@ class TestSimulateHybrid:
 
 class TestInteriorRestPoint:
     def _passing_state(self, s):
-        caps = receiver_sum_capacities(s)
+        caps = s.cap_table[-1]
         mix = np.full((2, 3), 1 / 3)
         beta = np.vstack([1.5 * caps, 1.5 * caps])
         return HybridState(mix, beta)
@@ -226,6 +219,13 @@ class TestInteriorRestPoint:
         report = interior_rest_point_check(s, state, cfg, tol=1e-3)
         assert not report.interior
         assert not report.passes
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_refuses_a_state_of_the_wrong_shape(self, n):
+        s = example_scenario()
+        mix = np.full((n, 3), 1 / 3)
+        with pytest.raises(ScenarioError, match="state shape"):
+            interior_rest_point_check(s, HybridState(mix, np.ones((n, 3))), HybridDynConfig())
 
 
 def random_scenario(rng, n, nj, family, scaled):
@@ -290,7 +290,7 @@ class TestBuiltField:
             for state in field_states(rng, s)[:6]:
                 hs = HybridState(state[0] / state[0].sum(axis=1, keepdims=True), state[1])
                 stacked = np.stack((hs.mix, hs.beta))
-                assert np.array_equal(np.stack(hybrid_rhs(s, hs, cfg)),
+                assert np.array_equal(build_field(s, cfg)(stacked),
                                       field_oracle(s, stacked, cfg))
                 chi = field_oracle(s, stacked, cfg, gated=False)[0]
                 report = interior_rest_point_check(s, hs, cfg)

@@ -4,19 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from macgame.capacity import ScenarioError, safe_rates
+from macgame.capacity import ScenarioError, room, safe_rates
 from macgame.hybrid_game import (
+    RATE_POINTS,
     HybridNashVerdict,
     HybridProfile,
     HybridScenario,
-    best_receiver_set,
-    best_response_split,
-    expected_payoff,
-    hybrid_feasible,
     is_hybrid_nash,
     potential_psi,
     receiver_capacity,
-    receiver_sum_capacities,
     region_tables,
     single_user_caps,
     solve_cop,
@@ -25,7 +21,7 @@ from macgame.hybrid_game import (
 )
 from macgame.numerics import NumericsError
 from macgame.static_game import UtilitySpec
-from oracles import exact_gains_oracle, split_response_oracle
+from oracles import exact_gains_oracle
 
 
 def example_scenario(utility=None, log_base="2"):
@@ -49,7 +45,7 @@ class TestReceiverCapacity:
 
     def test_sum_capacities_vector(self):
         s = example_scenario()
-        caps = receiver_sum_capacities(s)
+        caps = s.cap_table[-1]
         assert caps == pytest.approx([math.log2(21), math.log2(41), math.log2(61)])
 
 
@@ -68,19 +64,19 @@ class TestFeasibility:
     def test_zero_rates_always_feasible(self):
         s = example_scenario()
         mix = np.array([[0.2, 0.3, 0.5], [0.25, 0.5, 0.25]])
-        assert hybrid_feasible(s, [0.0, 0.0], mix)
+        assert potential_psi(s, [0.0, 0.0], mix) > -math.inf
 
     def test_overloaded_receiver_detected(self):
         s = example_scenario()
         mix = np.array([[0.2, 0.3, 0.5], [0.25, 0.5, 0.25]])
         # 10*0.2 + 20*0.25 = 7 > log2(21)
-        assert not hybrid_feasible(s, [10.0, 20.0], mix)
+        assert potential_psi(s, [10.0, 20.0], mix) == -math.inf
 
     def test_single_user_boundary(self):
         s = HybridScenario(np.array([[1.0, 1.0]]), np.array([[0.5, 1.0]]), 0.1)
         cap = receiver_capacity(s, 1, 0b1)
-        assert hybrid_feasible(s, [cap], np.array([[0.0, 1.0]]))
-        assert not hybrid_feasible(s, [cap * 1.001], np.array([[0.0, 1.0]]))
+        assert potential_psi(s, [cap], np.array([[0.0, 1.0]])) > -math.inf
+        assert potential_psi(s, [cap * 1.001], np.array([[0.0, 1.0]])) == -math.inf
 
     def test_clip_sweep_cap_is_loud(self):
         s = example_scenario()
@@ -89,57 +85,47 @@ class TestFeasibility:
         # one projection leaves another half-space violated; two suffice
         with pytest.raises(NumericsError, match="1 sweeps leave a violation of 5.49"):
             _clip_alpha(s, alpha, mix, max_sweeps=1)
-        assert hybrid_feasible(s, _clip_alpha(s, alpha, mix, max_sweeps=2), mix)
+        assert potential_psi(s, _clip_alpha(s, alpha, mix, max_sweeps=2), mix) > -math.inf
 
 
 class TestExpectedPayoff:
+    """User 0's payoff sum_j p_0j g(alpha_0 p_0j), read off the potential with
+    user 1 at rate 0, which earns g(0) = 0."""
+
     def test_one_hot_identity(self):
         s = example_scenario()
         mix = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        assert expected_payoff(s, [2.0, 1.5], mix, 0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_infeasible_profile_earns_zero(self):
-        s = example_scenario()
-        mix = np.array([[0.2, 0.3, 0.5], [0.25, 0.5, 0.25]])
-        assert expected_payoff(s, [10.0, 20.0], mix, 0) == 0.0
+        assert potential_psi(s, [2.0, 0.0], mix) == pytest.approx(2.0, abs=1e-12)
 
     def test_uniform_mix_algebra(self):
         s = example_scenario()
         mix = np.full((2, 3), 1 / 3)
-        assert expected_payoff(s, [3.0, 0.0], mix, 0) == pytest.approx(1.0, abs=1e-12)
+        assert potential_psi(s, [3.0, 0.0], mix) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBestResponseSplit:
+    """The best split beta*_ij of user i at receiver j against feasible
+    opponents is the room R_ij of capacity.room."""
+
     def test_no_other_user_at_receiver(self):
         s = example_scenario()
         alpha = np.array([0.0, 5.0])
         mix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        resp = best_response_split(s, 0, 0, alpha, mix)
-        assert resp.value == pytest.approx(receiver_capacity(s, 0, 0b01), abs=1e-12)
-        assert resp.feasible
+        value = room(s.cap_table, alpha[:, None] * mix)[0, 0]
+        assert value == pytest.approx(receiver_capacity(s, 0, 0b01), abs=1e-12)
 
     def test_reference_interference_case(self):
         s = example_scenario()
         # user 2 contributes alpha_2 * p_21 = 2 at receiver 1
         alpha = np.array([0.0, 4.0])
         mix = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.25]])
-        resp = best_response_split(s, 0, 0, alpha, mix)
+        value = room(s.cap_table, alpha[:, None] * mix)[0, 0]
         expected = min(math.log2(11), math.log2(21) - 2.0)
-        assert resp.value == pytest.approx(expected, abs=1e-12)
-        assert resp.value == pytest.approx(2.3923, abs=1e-4)
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(2.3923, abs=1e-4)
         floor = safe_rates(s)[0, 0]
         assert floor == pytest.approx(math.log2(21 / 11), abs=1e-12)
-        assert resp.value > floor
-
-    def test_saturated_receiver_returns_floor_with_flag(self):
-        s = example_scenario()
-        cap = receiver_capacity(s, 0, 0b11)
-        alpha = np.array([0.0, 2.0 * cap])
-        mix = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        resp = best_response_split(s, 0, 0, alpha, mix)
-        assert resp.value == pytest.approx(safe_rates(s)[0, 0], abs=1e-12)
-        assert resp.floor_active
-        assert not resp.feasible
+        assert value > floor
 
     def test_reply_saturates_or_respects_the_full_coalition_bound(self):
         s = example_scenario()
@@ -147,76 +133,18 @@ class TestBestResponseSplit:
         for _ in range(30):
             alpha = rng.uniform(0.0, 3.0, size=2)
             mix = rng.dirichlet(np.ones(3), size=2)
+            value = room(s.cap_table, alpha[:, None] * mix)
             for i in range(2):
                 for j in range(3):
-                    resp = best_response_split(s, i, j, alpha, mix)
-                    if resp.floor_active:
-                        continue
                     others = sum(alpha[k] * mix[k, j] for k in range(2) if k != i)
-                    assert resp.value + others <= receiver_capacity(s, j, 0b11) + 1e-12
-
-    def test_refuses_bad_indices_and_negative_rates(self):
-        s = example_scenario()
-        mix = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.25]])
-        for i, j, alpha in [(0, -1, [1.0, -5.0]), (-2, 0, [1.0, 5.0]), (0, -1, [1.0, 5.0]),
-                            (0, 3, [1.0, 5.0]), (2, 0, [1.0, 5.0]), (0, 0, [1.0, -5.0])]:
-            with pytest.raises(ScenarioError):
-                best_response_split(s, i, j, alpha, mix)
-        with pytest.raises(ScenarioError, match="rows must sum to one"):
-            best_response_split(s, 0, 0, [1.0, 5.0], 2.0 * mix)
-
-    @pytest.mark.parametrize("n, nj", [(1, 2), (2, 3), (3, 2), (4, 3)])
-    def test_matches_the_active_coalition_oracle(self, n, nj):
-        # idle opponents (p_kj = 0) drop out of the oracle's coalitions but
-        # not out of the room kernel's; saturated ones sit at their
-        # single-user caps, which pushes the room below the floor
-        rng = np.random.default_rng(100 + 10 * n + nj)
-        s = HybridScenario(rng.uniform(0.5, 2.0, (n, nj)), rng.uniform(0.1, 0.3, (n, nj)), 0.01)
-        for trial in range(20):
-            mix = rng.dirichlet(np.ones(nj), size=n)
-            mix[rng.random((n, nj)) < 0.4] = 0.0
-            mix[np.arange(n), rng.integers(nj, size=n)] += 1e-3
-            mix /= mix.sum(axis=1, keepdims=True)
-            alpha = (single_user_caps(s).min(axis=1) if trial % 2
-                     else rng.uniform(0.0, 2.0, n))
-            for i in range(n):
-                for j in range(nj):
-                    ref = split_response_oracle(s, i, j, alpha, mix)
-                    resp = best_response_split(s, i, j, alpha, mix)
-                    assert abs(resp.value - ref.value) <= 1e-12
-                    assert (resp.floor_active, resp.feasible) == (ref.floor_active, ref.feasible)
-
-
-class TestBestReceiverSet:
-    def test_strict_argmax(self):
-        s = example_scenario()
-        choice = best_receiver_set(s, 0, [1.0, 2.0, 3.0])
-        assert choice.receivers == (2,)
-        assert choice.alpha == pytest.approx(3.0)
-        assert np.allclose(choice.mix, [0.0, 0.0, 1.0])
-        assert choice.unique
-
-    def test_tie_case(self):
-        s = example_scenario()
-        choice = best_receiver_set(s, 0, [2.0, 2.0, 1.0])
-        assert choice.receivers == (0, 1)
-        assert choice.alpha == pytest.approx(4.0)
-        assert np.allclose(choice.mix, [0.5, 0.5, 0.0])
-        assert not choice.unique
-
-    def test_three_way_tie_gives_uniform(self):
-        s = example_scenario()
-        choice = best_receiver_set(s, 0, [1.5, 1.5, 1.5])
-        assert choice.receivers == (0, 1, 2)
-        assert np.allclose(choice.mix, 1 / 3)
-
+                    assert value[i, j] + others <= receiver_capacity(s, j, 0b11) + 1e-12
 
 class TestPotential:
     def test_equals_total_expected_payoff(self):
         s = example_scenario()
         mix = np.array([[0.2, 0.3, 0.5], [0.25, 0.5, 0.25]])
         alpha = np.array([1.0, 0.5])
-        total = sum(expected_payoff(s, alpha, mix, i) for i in range(2))
+        total = sum(np.sum(mix[i] * s.g(i, alpha[i] * mix[i])) for i in range(2))
         assert potential_psi(s, alpha, mix) == pytest.approx(total, abs=1e-12)
 
     def test_zero_rates(self):
@@ -243,7 +171,7 @@ class TestPotential:
             if math.isinf(v1) or math.isinf(v2):
                 continue
             lhs = v2 - v1
-            rhs = expected_payoff(s, a2, m2, 0) - expected_payoff(s, a, mix, 0)
+            rhs = np.sum(m2[0] * s.g(0, a2[0] * m2[0])) - np.sum(mix[0] * s.g(0, a[0] * mix[0]))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -310,10 +238,10 @@ class TestSolveCop:
     def test_example_scenario_profile_is_feasible_with_tight_receiver(self):
         s = example_scenario()
         profile, value, _ = solve_cop(s, n_starts=16, seed=0)
-        assert hybrid_feasible(s, profile.alpha, profile.mix, 1e-9)
+        assert potential_psi(s, profile.alpha, profile.mix, 1e-9) > -math.inf
         member_loads = (profile.alpha[:, None] * profile.mix)
         weighted = (profile.mix * member_loads).sum(axis=0)
-        caps = receiver_sum_capacities(s)
+        caps = s.cap_table[-1]
         assert np.all(weighted <= caps + 1e-9)
         slacks = []
         for j in range(3):
@@ -354,7 +282,7 @@ class TestIsHybridNash:
         with pytest.raises(ScenarioError):
             HybridProfile(np.array([1.0]), np.array([[0.5, 0.4]]))
 
-    @pytest.mark.parametrize("check", [potential_psi, hybrid_feasible, is_hybrid_nash])
+    @pytest.mark.parametrize("check", [potential_psi, is_hybrid_nash])
     def test_nan_mix_is_refused(self, check):
         mix = np.array([[np.nan, 0.5, 0.5], [1.0, 0.0, 0.0]])
         with pytest.raises(ScenarioError, match="mix: entries must be finite"):
@@ -393,19 +321,19 @@ def test_simplex_grid_refuses_bad_resolution(resolution):
         _simplex_grid(3, resolution)
 
 
-def row_loop_verdict(scenario, alpha, mix, tol=1e-3, dev_resolution=0.02, rate_points=101):
+def row_loop_verdict(scenario, alpha, mix, tol=1e-3, dev_resolution=0.02):
     """Reference verifier: every simplex row times the whole rate grid, the
     first row with a strictly larger gain kept."""
     a = np.asarray(alpha, dtype=float)
     p = np.asarray(mix, dtype=float)
-    if not hybrid_feasible(scenario, a, p, 1e-9):
+    if potential_psi(scenario, a, p, 1e-9) == -math.inf:
         return HybridNashVerdict(False, gain=math.inf)
     beta = a[:, None] * p
     member, caps = region_tables(scenario)
     rate_his = single_user_caps(scenario).sum(axis=1)
     for i in range(scenario.n_users):
-        current = expected_payoff(scenario, a, p, i)
-        rates = np.linspace(0.0, rate_his[i], rate_points)
+        current = float(np.sum(p[i] * scenario.g(i, a[i] * p[i])))
+        rates = np.linspace(0.0, rate_his[i], RATE_POINTS)
         with_i = member[:, i] > 0.0
         others = beta.copy()
         others[i] = 0.0

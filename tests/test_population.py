@@ -37,8 +37,8 @@ class TestActionGrid:
     def test_for_game_spans_single_user_bound(self):
         game = sym_game(2)
         grid = ActionGrid.for_game(game, 101)
-        assert grid.lo == 0.0
-        assert grid.hi == pytest.approx(game.region.bound(1), abs=1e-15)
+        assert grid.points[0] == 0.0
+        assert grid.points[-1] == pytest.approx(game.region.bound(1), abs=1e-15)
         assert grid.n_points == 101
 
     def test_anchored_grid_contains_equilibrium_exactly(self):
@@ -46,8 +46,8 @@ class TestActionGrid:
         grid = ActionGrid.for_game(game, 101, include_equilibrium=True)
         r_star = game.region.sum_capacity / 2
         assert np.min(np.abs(grid.points - r_star)) == 0.0
-        assert grid.hi >= game.region.bound(1)
-        assert grid.hi - game.region.bound(1) < grid.step
+        assert grid.points[-1] >= game.region.bound(1)
+        assert grid.points[-1] - game.region.bound(1) < grid.step
 
     def test_rejects_nonuniform(self):
         with pytest.raises(ScenarioError):
@@ -63,7 +63,7 @@ class TestMeanRate:
     def test_uniform(self, model2):
         grid = model2.grid
         assert mean_rate(uniform_state(grid), grid) == pytest.approx(
-            grid.hi / 2, abs=grid.step / 2)
+            grid.points[-1] / 2, abs=grid.step / 2)
 
     def test_two_point_mixture(self, model2):
         grid = model2.grid
@@ -78,7 +78,7 @@ class TestMixedRegion:
         assert in_mixed_region(dirac_state(model2.grid, r_star), model2)
 
     def test_dirac_at_top_is_outside(self, model2):
-        lam = dirac_state(model2.grid, model2.grid.hi)
+        lam = dirac_state(model2.grid, model2.grid.points[-1])
         assert not in_mixed_region(lam, model2)
 
     def test_zero_dirac_is_inside(self, model2):
@@ -94,10 +94,10 @@ class TestFitness:
         assert np.allclose(F, expected, atol=1e-12)
 
     def test_saturating_companions_kill_fitness(self, model2):
-        lam = dirac_state(model2.grid, model2.grid.hi)
+        lam = dirac_state(model2.grid, model2.grid.points[-1])
         F = fitness_vector(model2, lam)
         cn = model2.sum_capacity
-        gap = cn - model2.grid.hi
+        gap = cn - model2.grid.points[-1]
         above = model2.grid.points > gap + model2.grid.step
         assert np.all(F[above] == 0.0)
 
@@ -210,7 +210,7 @@ class TestProtocolRate:
             assert np.all(mean_dynamics_rhs(lam, proto, model2) == 0.0)
 
     def test_outside_mixed_region_all_rates_zero(self, model2):
-        lam = dirac_state(model2.grid, model2.grid.hi)
+        lam = dirac_state(model2.grid, model2.grid.points[-1])
         for proto in (RevisionProtocol("smith"), RevisionProtocol("bnn"),
                       RevisionProtocol("replicator")):
             assert np.all(mean_dynamics_rhs(lam, proto, model2) == 0.0)
