@@ -139,6 +139,41 @@ class TestBestResponseSplit:
                     others = sum(alpha[k] * mix[k, j] for k in range(2) if k != i)
                     assert value[i, j] + others <= receiver_capacity(s, j, 0b11) + 1e-12
 
+    @pytest.mark.parametrize("n, nj", [(1, 2), (2, 3), (3, 2), (4, 3)])
+    def test_matches_the_active_coalition_oracle(self, n, nj):
+        # beta*_ij is max(r_{ij,N}, the least slack over the coalitions of i
+        # and the opponents active at j); against feasible opponents the
+        # floor never binds (the bounds are submodular) and an idle opponent
+        # only raises a bound, so beta* is the room
+        rng = np.random.default_rng(100 + 10 * n + nj)
+        s = HybridScenario(rng.uniform(0.5, 2.0, (n, nj)), rng.uniform(0.1, 0.3, (n, nj)), 0.01)
+        member, caps = region_tables(s)
+        floor = safe_rates(s)
+        checked = 0
+        for trial in range(20):
+            mix = rng.dirichlet(np.ones(nj), size=n)
+            mix[rng.random((n, nj)) < 0.4] = 0.0
+            mix[np.arange(n), rng.integers(nj, size=n)] += 1e-3
+            mix /= mix.sum(axis=1, keepdims=True)
+            alpha = (single_user_caps(s).min(axis=1) if trial % 2
+                     else rng.uniform(0.0, 2.0, n))
+            value = room(s.cap_table, alpha[:, None] * mix)
+            for i in range(n):
+                rest = alpha.copy()
+                rest[i] = 0.0
+                if potential_psi(s, rest, mix, tol=0.0) == -math.inf:
+                    continue
+                loads = (rest[:, None] * mix).T
+                for j in range(nj):
+                    idle = mix[:, j] <= 0.0
+                    idle[i] = False
+                    rows = (member[:, i] > 0.0) & ~(member[:, idle] > 0.0).any(axis=1)
+                    slack = float(np.min(caps[rows, j] - member[rows] @ loads[j]))
+                    assert abs(value[i, j] - max(floor[i, j], slack)) <= 1e-12
+                    checked += 1
+        assert checked >= 20 * nj
+
+
 class TestPotential:
     def test_equals_total_expected_payoff(self):
         s = example_scenario()
