@@ -249,19 +249,20 @@ def room(caps: np.ndarray, rates: np.ndarray) -> np.ndarray:
 
 
 def safe_rates(scenario) -> np.ndarray:
-    """r_{i,N} of every user i: the rate i sustains when every other user
-    is noise,
+    """r_{i,N} of every user i of a single-receiver scenario: the rate i
+    sustains when every other user is noise,
 
     r_{i,N} = log(1 + P_i h_i / (sigma0^2 + sum_{i' != i} P_i' h_i')).
 
-    A hybrid scenario, whose power and gain are N x J, gets one column per
-    receiver.
+    Power and gain of more than one receiver are refused, not broadcast.
     """
     terms = scenario.power * scenario.gain
+    if terms.ndim != 1:
+        raise ScenarioError(f"safe rates need one receiver, got power and gain of shape "
+                            f"{terms.shape}", "power")
     # other[k, i] = 1 for k != i: the interference is summed over the other
     # users rather than taken as total minus own term, so nothing cancels
-    m = terms.shape[0]
-    other = np.expand_dims(1.0 - np.eye(m), tuple(range(2, terms.ndim + 1)))
+    other = 1.0 - np.eye(terms.size)
     interference = (other * terms[:, None]).sum(axis=0)
     return np.log1p(terms / (scenario.noise + interference)) / _log_scale(scenario.log_base)
 

@@ -31,8 +31,10 @@ PROTOCOL_KINDS = ("bnn", "replicator", "smith")
 MAX_TABLE_ENTRIES = 1 << 20
 
 #: smallest grid on which integer-theta Smith runs the sorted field instead
-#: of the dense G x G switch matrix: measured, the sorted field is the faster
-#: from here on at theta = 1 and 2 (README, "Notes on the dynamics")
+#: of the dense G x G switch matrix: measured against the in-place matrix,
+#: the sorted field is the faster from here on at theta = 1 and 2 (from
+#: G = 81 at theta = 1; at theta = 2 the two tie at G = 101 to 115, and at
+#: 128 take 33 against 42 us; README, "Notes on the dynamics")
 SORTED_SMITH_MIN_POINTS = 128
 
 
@@ -122,6 +124,15 @@ class RevisionProtocol:
             raise ScenarioError("only meaningful for the smith protocol", "theta")
         if not self.growth > 0:
             raise ScenarioError(f"must be positive, got {self.growth!r}", "growth")
+
+    def check_grid(self, n_points: int) -> None:
+        """Refuse a grid on which the field needs a G x G switch matrix of
+        more than MAX_TABLE_ENTRIES entries. Only a non-integer theta can:
+        an integer one runs the sorted field from SORTED_SMITH_MIN_POINTS on."""
+        if not float(self.theta).is_integer() and n_points ** 2 > MAX_TABLE_ENTRIES:
+            raise ScenarioError(f"smith theta={self.theta:g} with grid_points={n_points} needs "
+                                f"a {n_points} x {n_points} switch matrix, over the cap of "
+                                f"{MAX_TABLE_ENTRIES} entries", "grid_points")
 
 
 class PopulationModel:
@@ -220,13 +231,18 @@ def _fitness(model: PopulationModel, lam: np.ndarray) -> np.ndarray:
 
 
 def _switch_matrix(protocol: RevisionProtocol, F: np.ndarray) -> np.ndarray:
-    """Smith switch rates: B[x, a] = max(F_a - F_x, 0)^theta."""
-    gap = np.maximum(F[None, :] - F[:, None], 0.0)
-    if protocol.theta in (1.0, 2.0):
-        # numpy copies or squares without pow, faster than any masking
-        return gap ** protocol.theta
-    # 0^theta = 0, so raising only the positive gaps changes no bit
-    return np.power(gap, protocol.theta, out=np.zeros_like(gap), where=gap > 0.0)
+    """Smith switch rates: B[x, a] = max(F_a - F_x, 0)^theta, built in the
+    one G x G buffer of the difference; a fresh temporary per step would
+    be page-faulted in on every evaluation."""
+    gap = F[None, :] - F[:, None]
+    np.maximum(gap, 0.0, out=gap)
+    if protocol.theta == 2.0:
+        # numpy squares without pow, as gap ** 2 does
+        np.square(gap, out=gap)
+    elif protocol.theta != 1.0:
+        # 0^theta = 0, so raising only the positive gaps changes no bit
+        np.power(gap, protocol.theta, out=gap, where=gap > 0.0)
+    return gap
 
 
 def _sorted_smith_flows(lam: np.ndarray, F: np.ndarray,

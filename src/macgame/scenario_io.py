@@ -199,12 +199,14 @@ def _single_block(block: dict, task: str, scenario: SingleReceiverScenario,
     if task == "analyze" and "tau" in block:
         block["tau"] = check_array(block["tau"], (n,), "tau", positive=True)
     elif task == "simulate":
+        protocol = RevisionProtocol(block.get("protocol", "smith"), block["theta"],
+                                    block["growth"])
+        protocol.check_grid(block["grid_points"])
         grid = ActionGrid.for_game(static_game.make_game(scenario, utility),
                                    block["grid_points"], block["anchor_equilibrium"])
         block.update(
             grid=grid, initial=_initial_state(block.get("initial", "uniform"), grid),
-            protocol=RevisionProtocol(block.get("protocol", "smith"), block["theta"],
-                                      block["growth"]),
+            protocol=protocol,
             integrator=IntegratorConfig(block["dt"], block["t_end"], block["sample_every"]))
     elif task == "verify":
         if "profile" in block:

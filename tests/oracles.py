@@ -1,15 +1,17 @@
 """Brute-force oracles that only the tests use: product-grid coalition
 deviation searches, seeded sampling of maximal-face profiles, the coalition
 room and the hybrid best replies by one loop over users and coalitions, the
-per-user CCE deviation table over every coalition, and the hybrid field and
-integration loop that rebuild their constants on every call."""
+per-user CCE deviation table over every coalition, the safe rates by the
+scalar per-user formula, and the hybrid field and integration loop that
+rebuild their constants on every call."""
 
 import itertools
+import math
 
 import numpy as np
 
-from macgame.capacity import (ScenarioError, check_array, coalition_members, coalitions,
-                              contains, safe_rates)
+from macgame.capacity import (ScenarioError, _log_scale, check_array, coalition_members,
+                              coalitions, contains, safe_rates)
 from macgame.hybrid_dynamics import HybridDynConfig, channel_fitness
 from macgame.hybrid_game import HybridScenario, _feasible_unchecked
 from macgame.numerics import IntegratorConfig, NumericsError, rk4_step
@@ -95,6 +97,17 @@ def room_oracle(caps: np.ndarray, rates) -> np.ndarray:
                 load = rates[..., others, :].sum(axis=-2)
                 out[..., i, :] = np.minimum(out[..., i, :], caps[mask - 1] - load)
     return out
+
+
+def scalar_safe_rate(scenario, i: int, j=None) -> float:
+    """r_{i,N} (at receiver j of a hybrid scenario) by the scalar per-user
+    formula: the oracle of capacity.safe_rates, and the hybrid floors that
+    safe_rates refuses to compute."""
+    terms = scenario.power * scenario.gain
+    if j is not None:
+        terms = terms[:, j]
+    interference = sum(terms[k] for k in range(scenario.n_users) if k != i)
+    return math.log1p(terms[i] / (scenario.noise + interference)) / _log_scale(scenario.log_base)
 
 
 def cce_table_oracle(game: StaticGame, i: int, atoms: np.ndarray,

@@ -8,7 +8,6 @@ from macgame.hybrid_game import HybridScenario
 
 from macgame.capacity import (
     ScenarioError,
-    _log_scale,
     SingleReceiverScenario,
     build_region,
     coalition_table,
@@ -18,7 +17,7 @@ from macgame.capacity import (
     room,
     safe_rates,
 )
-from oracles import room_oracle
+from oracles import room_oracle, scalar_safe_rate
 
 
 def symmetric3():
@@ -144,31 +143,23 @@ def test_floor_is_exactly_the_singleton_complement_gap():
         assert floors[i] == pytest.approx(gap, rel=1e-12)
 
 
-def scalar_safe_rate(scenario, i, j=None):
-    """r_{i,N} (at receiver j of a hybrid scenario) by the scalar per-user
-    formula, kept as the oracle of safe_rates."""
-    terms = scenario.power * scenario.gain
-    if j is not None:
-        terms = terms[:, j]
-    interference = sum(terms[k] for k in range(scenario.n_users) if k != i)
-    return math.log1p(terms[i] / (scenario.noise + interference)) / _log_scale(scenario.log_base)
-
-
-@pytest.mark.parametrize("hybrid", [False, True])
-def test_safe_rates_match_the_scalar_formula(hybrid):
-    rng = np.random.default_rng(7 + hybrid)
+def test_safe_rates_match_the_scalar_formula():
+    rng = np.random.default_rng(7)
     for _ in range(300):
         n = int(rng.integers(1, 13))
-        shape = (n, int(rng.integers(1, 5))) if hybrid else (n,)
-        args = (rng.uniform(0.01, 100.0, shape), rng.uniform(0.01, 3.0, shape),
-                rng.uniform(0.01, 2.0), str(rng.choice(["2", "e"])))
-        s = HybridScenario(*args) if hybrid else SingleReceiverScenario(*args)
+        s = SingleReceiverScenario(rng.uniform(0.01, 100.0, n), rng.uniform(0.01, 3.0, n),
+                                   rng.uniform(0.01, 2.0), str(rng.choice(["2", "e"])))
         got = safe_rates(s)
-        assert got.shape == shape
-        for i, row in enumerate(got):
-            ref = ([scalar_safe_rate(s, i, j) for j in range(shape[1])] if hybrid
-                   else scalar_safe_rate(s, i))
-            assert np.all(np.abs(row - ref) <= 1e-15 * np.abs(ref))
+        assert got.shape == (n,)
+        for i, value in enumerate(got):
+            ref = scalar_safe_rate(s, i)
+            assert abs(value - ref) <= 1e-15 * abs(ref)
+
+
+def test_safe_rates_refuse_more_than_one_receiver():
+    s = HybridScenario(np.ones((2, 3)), np.ones((2, 3)), 0.1)
+    with pytest.raises(ScenarioError, match=r"power: .*one receiver.*\(2, 3\)"):
+        safe_rates(s)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

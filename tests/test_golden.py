@@ -1,12 +1,16 @@
-"""Golden outputs of the shipped analyze and verify scenarios.
+"""Golden outputs of the shipped analyze and verify scenarios and of one
+short fractional-theta Smith run.
 
-Each case runs one file of scenarios/ through cli.main and pins the SHA-256
-of the exit code and stdout, "<code>\\n<stdout>". A change that is meant to
-leave every output as it was must leave these hashes alone; one that is
-meant to change an output updates the hash and says why.
+Each scenario case runs one file of scenarios/ through cli.main and pins the
+SHA-256 of the exit code and stdout, "<code>\\n<stdout>". The Smith case pins
+the exit code, the CSV and report.json, which names its artifacts relative
+to the output directory. A change that is meant to leave every output as it
+was must leave these hashes alone; one that is meant to change an output
+updates the hash and says why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -27,3 +31,22 @@ def test_shipped_scenario_output_is_unchanged(name, capsys):
     code = cli.main([command, str(SCENARIOS / name)])
     digest = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+# N = 2 on 401 nodes at theta = 1.5: the dense switch-matrix field, sampled
+# at each of its 10 RK4 steps
+SMITH_DOC = {"kind": "single_receiver", "task": "simulate", "users": 2, "power": 25.0,
+             "gain": 1.0, "noise": 0.1,
+             "simulate": {"grid_points": 401, "protocol": "smith", "theta": 1.5,
+                          "dt": 0.01, "t_end": 0.1, "sample_every": 1}}
+SMITH_GOLDEN = "1b386110602b52b5ddbd5514867f7808b408b7e547be5aed35aa262862a3529a"
+
+
+def test_fractional_smith_run_is_unchanged(tmp_path):
+    path, out = tmp_path / "smith.json", tmp_path / "out"
+    path.write_text(json.dumps(SMITH_DOC), encoding="utf-8")
+    code = cli.main(["simulate", str(path), "--out", str(out)])
+    report = (out / "report.json").read_bytes()
+    assert json.loads(report)["artifacts"] == ["population.csv"]
+    blob = f"{code}\n".encode() + (out / "population.csv").read_bytes() + report
+    assert hashlib.sha256(blob).hexdigest() == SMITH_GOLDEN

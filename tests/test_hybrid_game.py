@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from macgame.capacity import ScenarioError, room, safe_rates
+from macgame.capacity import ScenarioError, room
 from macgame.hybrid_game import (
     RATE_POINTS,
     HybridNashVerdict,
@@ -21,7 +21,7 @@ from macgame.hybrid_game import (
 )
 from macgame.numerics import NumericsError
 from macgame.static_game import UtilitySpec
-from oracles import exact_gains_oracle
+from oracles import exact_gains_oracle, scalar_safe_rate
 
 
 def example_scenario(utility=None, log_base="2"):
@@ -123,7 +123,7 @@ class TestBestResponseSplit:
         expected = min(math.log2(11), math.log2(21) - 2.0)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(2.3923, abs=1e-4)
-        floor = safe_rates(s)[0, 0]
+        floor = scalar_safe_rate(s, 0, 0)
         assert floor == pytest.approx(math.log2(21 / 11), abs=1e-12)
         assert value > floor
 
@@ -148,7 +148,6 @@ class TestBestResponseSplit:
         rng = np.random.default_rng(100 + 10 * n + nj)
         s = HybridScenario(rng.uniform(0.5, 2.0, (n, nj)), rng.uniform(0.1, 0.3, (n, nj)), 0.01)
         member, caps = region_tables(s)
-        floor = safe_rates(s)
         checked = 0
         for trial in range(20):
             mix = rng.dirichlet(np.ones(nj), size=n)
@@ -169,7 +168,7 @@ class TestBestResponseSplit:
                     idle[i] = False
                     rows = (member[:, i] > 0.0) & ~(member[:, idle] > 0.0).any(axis=1)
                     slack = float(np.min(caps[rows, j] - member[rows] @ loads[j]))
-                    assert abs(value[i, j] - max(floor[i, j], slack)) <= 1e-12
+                    assert abs(value[i, j] - max(scalar_safe_rate(s, i, j), slack)) <= 1e-12
                     checked += 1
         assert checked >= 20 * nj
 

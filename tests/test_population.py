@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -287,10 +289,11 @@ class TestSortedSmithField:
             assert calls == [path], (g, theta)
             assert np.abs(rhs).max() > 0.0
 
-    @pytest.mark.parametrize("theta", [1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("g", [7, 101, 401])
     def test_masked_power_is_bitwise_the_plain_power(self, theta, g):
-        # raising only the positive gaps must not change a bit of gap ** theta
+        # the in-place square (theta = 2), no-op (theta = 1) and masked power
+        # (other theta) must each give the bits of gap ** theta
         rng = np.random.default_rng(g)
         for case in ("ties", "gated"):
             F = smith_fitness(g, rng, 0.0, case)
@@ -298,6 +301,23 @@ class TestSortedSmithField:
             assert np.any(gap == 0.0) and np.any(gap > 0.0)
             assert np.array_equal(_switch_matrix(RevisionProtocol("smith", theta), F),
                                   gap ** theta)
+
+    def test_dense_field_allocates_one_switch_matrix(self):
+        # the G x G matrix is built in one buffer; the form with a fresh
+        # temporary per step peaked at 2.13 G^2 doubles here
+        game, g = sym_game(2), 401
+        model = PopulationModel(game, ActionGrid.for_game(game, g))
+        lam = np.where(model.grid.points <= 0.8 * model.sum_capacity / 2, 1.0, 0.0)
+        lam /= lam.sum()
+        proto = RevisionProtocol("smith", 1.5)
+        tracemalloc.start()
+        try:
+            rhs = mean_dynamics_rhs(lam, proto, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(rhs).max() > 0.0
+        assert peak < 1.5 * g * g * 8, peak / (g * g * 8)
 
 
 class TestMeanDynamics:

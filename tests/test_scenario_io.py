@@ -434,6 +434,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "users=6" in err and "grid_points=101" in err
 
+    @pytest.mark.parametrize("g", [1025, 1 << 20])
+    def test_switch_matrix_over_the_cap_exit_two(self, tmp_path, capsys, g):
+        # N = 2 lets the companion table reach 2^20 nodes, but a non-integer
+        # theta needs the G x G matrix, refused before the grid is filled
+        doc = dict(MINIMAL_SINGLE, task="simulate", users=2,
+                   simulate={"grid_points": g, "theta": 1.5, "dt": 0.01, "t_end": 0.01})
+        path = write(tmp_path, "big.json", doc)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert (f"big.json.simulate.grid_points: smith theta=1.5 with grid_points={g} needs a "
+                f"{g} x {g} switch matrix, over the cap of 1048576 entries") in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("g, theta", [(1024, 1.5), (1025, 2.0)])
+    def test_switch_matrix_at_the_cap_or_sorted_is_accepted(self, g, theta):
+        doc = dict(MINIMAL_SINGLE, task="simulate", users=2,
+                   simulate={"grid_points": g, "theta": theta, "dt": 0.01, "t_end": 0.01})
+        assert parse_doc(doc).block["grid"].n_points == g
+
     def test_log_base_override(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", MINIMAL_SINGLE)
         assert main(["analyze", str(path), "--log-base", "e"]) == 0
