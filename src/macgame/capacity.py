@@ -1,12 +1,14 @@
-"""Single-receiver coalition capacity region for the Gaussian multiple access channel.
+"""Coalition capacity regions of the Gaussian multiple access channel.
 
-The region is a polytope in the nonnegative orthant with one linear bound per
-nonempty user coalition: sum_{i in Omega} alpha_i <= C_Omega where
+A receiver's region is a polytope in the nonnegative orthant with one linear
+bound per nonempty user coalition: sum_{i in Omega} alpha_i <= C_Omega where
 
     C_Omega = log(1 + sum_{i in Omega} P_i h_i / sigma0^2)
 
-in the configured log base. Coalitions are represented as bitmasks over user
-indices, densely enumerated, which caps the user count at 20.
+in the configured log base. Channel validates the parameters of one receiver
+or of J receivers and holds the bound table of every receiver. Coalitions are
+represented as bitmasks over user indices, densely enumerated, which caps the
+user count at 20.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -69,29 +71,18 @@ def check_array(value, shape: tuple, name: str, nonneg: bool = False,
     return arr
 
 
-def _check_snr(power: np.ndarray, gain: np.ndarray, noise: float) -> None:
-    """Every receiver's SNR sum, the argument of its largest bound, must be finite."""
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite((power * gain / noise).sum(axis=0))):
-            raise ScenarioError("power * gain / noise overflows at a receiver")
-
-
-def _log_scale(log_base: str) -> float:
-    if log_base == "2":
-        return math.log(2.0)
-    if log_base == "e":
-        return 1.0
-    raise ScenarioError(f"must be one of {LOG_BASES}, got {log_base!r}", "log_base")
-
-
 @dataclass(frozen=True)
-class SingleReceiverScenario:
-    """Channel parameters of one receiver with N power-constrained senders.
+class Channel:
+    """Gaussian multiple access channel: N power-constrained senders and one
+    receiver (power and gain of shape (N,)) or J receivers (shape (N, J)).
 
-    power and gain are per-user arrays (mW and dimensionless); noise is the
-    Gaussian noise variance sigma0^2 in mW. Rates are measured in bits per
-    channel use for log_base "2" and nats for "e".
+    power is in mW and gain is dimensionless; noise is the Gaussian noise
+    variance sigma0^2 in mW, common to every receiver. Rates are measured in
+    bits per channel use for log_base "2" and nats for "e". A subclass fixes
+    the shape through its axes.
     """
+
+    axes = (None,)
 
     power: np.ndarray
     gain: np.ndarray
@@ -99,33 +90,51 @@ class SingleReceiverScenario:
     log_base: str = "2"
 
     def __post_init__(self):
-        p = check_array(self.power, (None,), "power", positive=True)
+        p = check_array(self.power, self.axes, "power", positive=True)
         h = check_array(self.gain, p.shape, "gain", positive=True)
-        object.__setattr__(self, "noise", float(check_array(self.noise, (), "noise", positive=True)))
-        _check_snr(p, h, self.noise)
-        _log_scale(self.log_base)
+        noise = float(check_array(self.noise, (), "noise", positive=True))
+        # every receiver's SNR sum, the argument of its largest bound, must be finite
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite((p * h / noise).sum(axis=0))):
+                raise ScenarioError("power * gain / noise overflows at a receiver")
+        if p.shape[0] > MAX_USERS:
+            raise ScenarioError(f"user count exceeds the enumeration guard ({MAX_USERS})")
+        self.log_scale  # refuses an unknown base
         p.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "power", p)
         object.__setattr__(self, "gain", h)
+        object.__setattr__(self, "noise", noise)
 
     @property
     def n_users(self) -> int:
-        return self.power.size
+        return self.power.shape[0]
 
     @property
     def snr_terms(self) -> np.ndarray:
-        """Per-user received SNR contributions P_i h_i / sigma0^2."""
+        """Received SNR contributions P_i h_i / sigma0^2 (P_ij h_ij / sigma0^2)."""
         return self.power * self.gain / self.noise
 
     @cached_property
-    def region_bounds(self) -> np.ndarray:
-        """C_Omega for every coalition bitmask; entry 0 (the empty set) is 0."""
-        table = coalition_table(self.n_users)
-        bounds = np.zeros(table.member.shape[0] + 1)
-        bounds[1:] = np.log1p(table.member @ self.snr_terms) / _log_scale(self.log_base)
-        bounds.setflags(write=False)
-        return bounds
+    def log_scale(self) -> float:
+        """ln of the log base: a rate is log1p(SNR) / log_scale."""
+        if self.log_base not in LOG_BASES:
+            raise ScenarioError(f"must be one of {LOG_BASES}, got {self.log_base!r}",
+                                "log_base")
+        return math.log(2.0) if self.log_base == "2" else 1.0
+
+    @cached_property
+    def cap_table(self) -> np.ndarray:
+        """C_Omega for every row of the coalition table: one entry per
+        coalition for one receiver, one column per receiver for J."""
+        caps = np.log1p(coalition_table(self.n_users).member @ self.snr_terms) / self.log_scale
+        caps.setflags(write=False)
+        return caps
+
+
+@dataclass(frozen=True)
+class SingleReceiverScenario(Channel):
+    """Channel parameters of one receiver with N power-constrained senders."""
 
     def is_symmetric(self, rtol: float = 1e-12) -> bool:
         s = self.snr_terms
@@ -136,16 +145,6 @@ class SingleReceiverScenario:
                   log_base: str = "2") -> "SingleReceiverScenario":
         return cls(np.full(n_users, float(power)), np.full(n_users, float(gain)),
                    noise, log_base)
-
-
-def coalitions(n_users: int) -> Iterator[int]:
-    """All nonempty coalition bitmasks for n_users, ascending."""
-    for mask in range(1, 1 << n_users):
-        yield mask
-
-
-def coalition_members(mask: int, n_users: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n_users) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,6 @@ class CapacityRegion:
 
     bounds: np.ndarray
     n_users: int
-    log_base: str = "2"
 
     def __post_init__(self):
         b = np.asarray(self.bounds, dtype=float)
@@ -218,7 +216,7 @@ def build_region(scenario: SingleReceiverScenario) -> CapacityRegion:
     Every nonempty coalition Omega gets the bound
     log(1 + sum_{i in Omega} P_i h_i / sigma0^2) in the scenario's base.
     """
-    return CapacityRegion(scenario.region_bounds, scenario.n_users, scenario.log_base)
+    return CapacityRegion(np.concatenate(([0.0], scenario.cap_table)), scenario.n_users)
 
 
 def contains(region: CapacityRegion, rates, tol: float = 1e-9) -> bool:
@@ -264,7 +262,7 @@ def safe_rates(scenario) -> np.ndarray:
     # users rather than taken as total minus own term, so nothing cancels
     other = 1.0 - np.eye(terms.size)
     interference = (other * terms[:, None]).sum(axis=0)
-    return np.log1p(terms / (scenario.noise + interference)) / _log_scale(scenario.log_base)
+    return np.log1p(terms / (scenario.noise + interference)) / scenario.log_scale
 
 
 def on_max_face(region: CapacityRegion, scenario: SingleReceiverScenario,

@@ -22,56 +22,30 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import (MAX_USERS, ScenarioError, _check_snr, _log_scale, check_array,
-                       coalition_table, room)
+from .capacity import Channel, ScenarioError, check_array, coalition_table, room
 from .numerics import NumericsError
 from .static_game import UtilitySpec
 
 
 @dataclass(frozen=True)
-class HybridScenario:
+class HybridScenario(Channel):
     """Per-(user, receiver) channel parameters plus a shared utility family.
 
-    power and gain are N x J arrays (mW, dimensionless); noise is the common
-    receiver noise variance sigma0^2 in mW.
+    power and gain are N x J arrays; cap_table has one column per receiver.
     """
 
-    power: np.ndarray
-    gain: np.ndarray
-    noise: float
-    log_base: str = "2"
+    axes = (None, None)
+
     utility: UtilitySpec = UtilitySpec()
 
     def __post_init__(self):
-        p = check_array(self.power, (None, None), "power", positive=True)
-        h = check_array(self.gain, p.shape, "gain", positive=True)
-        object.__setattr__(self, "noise", float(check_array(self.noise, (), "noise", positive=True)))
-        _check_snr(p, h, self.noise)
-        if p.shape[0] > MAX_USERS:
-            raise ScenarioError(f"user count exceeds the enumeration guard ({MAX_USERS})")
-        _log_scale(self.log_base)
-        if self.utility.scale is not None and self.utility.scale.size != p.shape[0]:
+        super().__post_init__()
+        if self.utility.scale is not None and self.utility.scale.size != self.n_users:
             raise ScenarioError("utility scale length must match the user count")
-        p.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "power", p)
-        object.__setattr__(self, "gain", h)
-
-    @property
-    def n_users(self) -> int:
-        return self.power.shape[0]
 
     @property
     def n_receivers(self) -> int:
         return self.power.shape[1]
-
-    @cached_property
-    def log_scale(self) -> float:
-        return _log_scale(self.log_base)
-
-    @property
-    def snr_terms(self) -> np.ndarray:
-        return self.power * self.gain / self.noise
 
     @cached_property
     def users(self) -> np.ndarray:
@@ -85,14 +59,6 @@ class HybridScenario:
 
     def g_deriv(self, i, x):
         return self.utility.deriv(i, x, self.log_scale)
-
-    @cached_property
-    def cap_table(self) -> np.ndarray:
-        """C_{j,Omega} with one row per coalition of the coalition table and
-        one column per receiver."""
-        caps = np.log1p(coalition_table(self.n_users).member @ self.snr_terms) / self.log_scale
-        caps.setflags(write=False)
-        return caps
 
 
 def region_tables(scenario: HybridScenario) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import correlated, hybrid_dynamics, hybrid_game, population, static_game
 from .capacity import (MAX_USERS, ScenarioError, SingleReceiverScenario, check_array,
-                       coalition_members, coalitions, contains, safe_rates)
+                       coalition_table, contains, safe_rates)
 from .hybrid_dynamics import HybridDynConfig, HybridState
 from .hybrid_game import MAX_SIMPLEX_ROWS, HybridProfile, HybridScenario
 from .numerics import IntegratorConfig
@@ -85,7 +85,8 @@ class ScenarioFile:
 # Task blocks: (settings with their defaults, other allowed keys, required
 # keys). parse_doc reads every setting once, by the type of its default: a
 # bool must be a JSON boolean, an int an integer >= 1, a float a finite
-# number. The run helpers read the checked values and built objects from
+# number, and a tolerance (a key ending in "tol") a finite number >= 0. The
+# run helpers read the checked values and built objects from
 # ScenarioFile.block.
 _SINGLE_BLOCKS = {
     "analyze": ({}, {"tau"}, set()),
@@ -122,7 +123,10 @@ def _setting(block: dict, key: str, default):
         return value
     if isinstance(default, int):
         return _integer(block, key, default=default)
-    return float(check_array(value, (), key))
+    number = float(check_array(value, (), key))
+    if key.endswith("tol") and number < 0.0:
+        raise ScenarioError(f"must be nonnegative, got {number!r}", key)
+    return number
 
 
 def _filled(doc: dict, key: str, shape: tuple) -> np.ndarray:
@@ -179,7 +183,7 @@ def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
                 _single_block(block, task, scenario, utility)
         return ScenarioFile(kind, task, scenario, utility,
                             seed=_integer(doc, "seed", minimum=0, default=0),
-                            tol=float(check_array(doc.get("tol", 1e-9), (), "tol")),
+                            tol=_setting(doc, "tol", 1e-9),
                             block=block, canonical=doc, path=path)
 
 
@@ -338,12 +342,18 @@ def _require_out(out_dir) -> Path:
     return p
 
 
+def _bound_listing(caps: np.ndarray) -> list[dict]:
+    """One entry per coalition, in bitmask order, for a bound column in
+    coalition-table order (2^N - 1 entries); users are numbered from 1."""
+    member = coalition_table(len(caps).bit_length()).member
+    return [{"coalition": (np.flatnonzero(row) + 1).tolist(), "bound": bound}
+            for row, bound in zip(member, caps.tolist())]
+
+
 def _analyze_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> None:
     region = game.region
     n = game.n_users
-    bounds = [{"coalition": [m + 1 for m in coalition_members(mask, n)],
-               "bound": region.bound(mask)} for mask in coalitions(n)]
-    report.metrics["coalition_bounds"] = bounds
+    report.metrics["coalition_bounds"] = _bound_listing(sf.scenario.cap_table)
     report.metrics["sum_capacity"] = region.sum_capacity
     report.metrics["guaranteed_rates"] = safe_rates(sf.scenario)
     metrics = static_game.efficiency_metrics(game)
@@ -400,13 +410,9 @@ def _verify_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> Non
 def _analyze_hybrid(sf: ScenarioFile, report: RunReport) -> None:
     scenario: HybridScenario = sf.scenario
     blk = sf.block
-    n = scenario.n_users
-    caps = [{"receiver": j + 1,
-             "bounds": [{"coalition": [m + 1 for m in coalition_members(mask, n)],
-                         "bound": hybrid_game.receiver_capacity(scenario, j, mask)}
-                        for mask in coalitions(n)]}
-            for j in range(scenario.n_receivers)]
-    report.metrics["receiver_capacities"] = caps
+    report.metrics["receiver_capacities"] = [
+        {"receiver": j + 1, "bounds": _bound_listing(caps)}
+        for j, caps in enumerate(scenario.cap_table.T)]
     profile, value, moves = hybrid_game.solve_cop(scenario, blk["n_starts"], seed=sf.seed,
                                                   tol=blk["nash_tol"])
     verdict = hybrid_game.is_hybrid_nash(scenario, profile.alpha, profile.mix,

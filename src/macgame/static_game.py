@@ -27,7 +27,6 @@ from .capacity import (
     on_max_face,
     room,
     safe_rates,
-    _log_scale,
 )
 from .numerics import bisect
 
@@ -123,7 +122,7 @@ class StaticGame:
 
     @property
     def log_scale(self) -> float:
-        return _log_scale(self.scenario.log_base)
+        return self.scenario.log_scale
 
     def g(self, i, x):
         return self.utility.value(i, x, self.log_scale)

@@ -1,21 +1,30 @@
-"""Brute-force oracles that only the tests use: product-grid coalition
-deviation searches, seeded sampling of maximal-face profiles, the coalition
-room and the hybrid best replies by one loop over users and coalitions, the
-per-user CCE deviation table over every coalition, the safe rates by the
-scalar per-user formula, and the hybrid field and integration loop that
-rebuild their constants on every call."""
+"""Brute-force oracles that only the tests use: the coalitions as bitmasks
+and member tuples, one at a time, product-grid coalition deviation
+searches, seeded sampling of maximal-face profiles, the coalition room and
+the hybrid best replies by one loop over users and coalitions, the per-user
+CCE deviation table over every coalition, the safe rates by the scalar
+per-user formula, and the hybrid field and integration loop that rebuild
+their constants on every call."""
 
 import itertools
 import math
 
 import numpy as np
 
-from macgame.capacity import (ScenarioError, _log_scale, check_array, coalition_members,
-                              coalitions, contains, safe_rates)
+from macgame.capacity import ScenarioError, check_array, contains, safe_rates
 from macgame.hybrid_dynamics import HybridDynConfig, channel_fitness
 from macgame.hybrid_game import HybridScenario, _feasible_unchecked
 from macgame.numerics import IntegratorConfig, NumericsError, rk4_step
 from macgame.static_game import StaticGame, payoff
+
+
+def coalitions(n_users: int):
+    """All nonempty coalition bitmasks for n_users, ascending."""
+    return range(1, 1 << n_users)
+
+
+def coalition_members(mask: int, n_users: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n_users) if mask >> i & 1)
 
 
 def coalition_improvement_exists(game: StaticGame, rates, mask: int,
@@ -107,7 +116,7 @@ def scalar_safe_rate(scenario, i: int, j=None) -> float:
     if j is not None:
         terms = terms[:, j]
     interference = sum(terms[k] for k in range(scenario.n_users) if k != i)
-    return math.log1p(terms[i] / (scenario.noise + interference)) / _log_scale(scenario.log_base)
+    return math.log1p(terms[i] / (scenario.noise + interference)) / scenario.log_scale
 
 
 def cce_table_oracle(game: StaticGame, i: int, atoms: np.ndarray,

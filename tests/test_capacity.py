@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +13,12 @@ from macgame.capacity import (
     SingleReceiverScenario,
     build_region,
     coalition_table,
-    coalitions,
     contains,
     on_max_face,
     room,
     safe_rates,
 )
-from oracles import room_oracle, scalar_safe_rate
+from oracles import coalitions, room_oracle, scalar_safe_rate
 
 
 def symmetric3():
@@ -57,15 +58,56 @@ def test_build_region_rejects_oversized_scenarios():
 def test_scenario_validation():
     with pytest.raises(ScenarioError):
         SingleReceiverScenario(np.array([1.0, -1.0]), np.array([1.0, 1.0]), 1.0)
-    with pytest.raises(ScenarioError):
-        SingleReceiverScenario(np.array([1.0]), np.array([1.0]), 0.0)
-    with pytest.raises(ScenarioError):
-        SingleReceiverScenario(np.array([1.0]), np.array([1.0]), 1.0, log_base="10")
     # nothing is broadcast
     with pytest.raises(ScenarioError, match="power: shape"):
         SingleReceiverScenario(25.0, 1.0, 0.1)
     with pytest.raises(ScenarioError, match="gain: shape"):
         SingleReceiverScenario(np.array([25.0, 25.0]), 1.0, 0.1)
+
+
+def _channel(cls, n=2, **changes):
+    """An n-user channel of cls (two receivers for a hybrid scenario) built
+    from valid arguments, each named in changes replaced by change(shape)."""
+    shape = (n,) if cls is SingleReceiverScenario else (n, 2)
+    args = dict(power=np.ones(shape), gain=np.ones(shape), noise=0.1, log_base="2")
+    args.update({key: change(shape) for key, change in changes.items()})
+    return cls(**args)
+
+
+@pytest.mark.parametrize("cls", [SingleReceiverScenario, HybridScenario])
+@pytest.mark.parametrize("changes, message", [
+    (dict(gain=lambda shape: np.ones((shape[0] + 1,) + shape[1:])), "gain: shape"),
+    (dict(gain=lambda shape: np.zeros(shape)), "gain: entries must be positive"),
+    (dict(gain=lambda shape: -np.ones(shape)), "gain: entries must be positive"),
+    (dict(noise=lambda shape: 0.0), "noise: entries must be positive"),
+    (dict(power=lambda shape: np.full(shape, 1e300), gain=lambda shape: np.full(shape, 1e300)),
+     "power \\* gain / noise overflows at a receiver"),
+    (dict(log_base=lambda shape: "10"), "log_base: must be one of"),
+])
+def test_both_scenario_kinds_refuse_a_malformed_channel_alike(cls, changes, message):
+    with pytest.raises(ScenarioError, match=message):
+        _channel(cls, **changes)
+
+
+@pytest.mark.parametrize("cls", [SingleReceiverScenario, HybridScenario])
+def test_both_scenario_kinds_refuse_21_users_when_built(cls):
+    _channel(cls, n=20)
+    with pytest.raises(ScenarioError, match="user count exceeds the enumeration guard"):
+        _channel(cls, n=21)
+
+
+def test_no_other_module_imports_a_private_capacity_name():
+    # the channel's validation and log scale stay behind capacity's public names
+    src = Path(__file__).resolve().parents[1] / "src" / "macgame"
+    leaks = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "capacity.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module in ("capacity", "macgame.capacity")
+                    and any(alias.name.startswith("_") for alias in node.names)):
+                leaks.append(f"{path.name}:{node.lineno}")
+    assert leaks == []
 
 
 @settings(max_examples=100, deadline=None)

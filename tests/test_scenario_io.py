@@ -11,7 +11,7 @@ from macgame.capacity import ScenarioError
 from macgame.cli import main
 from macgame.hybrid_game import potential_psi, receiver_capacity
 from macgame.scenario_io import ScenarioFile, parse_doc, parse_scenario, run
-from oracles import exact_gains_oracle
+from oracles import coalition_members, coalitions, exact_gains_oracle
 
 
 def write(tmp_path, name, doc):
@@ -177,6 +177,21 @@ class TestRunHybridAnalyzeVerify:
         assert len(report.metrics["receiver_capacities"]) == 3
         assert report.metrics["potential_value"] > 0.0
 
+    @pytest.mark.parametrize("n, nj", [(3, 3), (4, 2)])
+    def test_analyze_lists_every_receiver_bound(self, n, nj):
+        gain = np.random.default_rng(10 * n + nj).uniform(0.1, 0.3, (n, nj)).tolist()
+        doc = {"kind": "hybrid", "task": "analyze", "users": n, "receivers": nj,
+               "power": 1.0, "gain": gain, "noise": 0.01,
+               "analyze": {"n_starts": 2, "dev_resolution": 0.1}}
+        sf = parse_doc(doc)
+        listing = run(sf).metrics["receiver_capacities"]
+        assert [entry["receiver"] for entry in listing] == list(range(1, nj + 1))
+        for j, entry in enumerate(listing):
+            assert len(entry["bounds"]) == (1 << n) - 1
+            for mask, bound in zip(coalitions(n), entry["bounds"]):
+                assert bound["coalition"] == [m + 1 for m in coalition_members(mask, n)]
+                assert bound["bound"] == receiver_capacity(sf.scenario, j, mask)
+
     def test_verify_accepts_cop_profile_and_rejects_infeasible(self, tmp_path):
         doc = dict(self.BASE, task="analyze")
         doc["analyze"] = {"n_starts": 8}
@@ -279,6 +294,9 @@ class TestCli:
         ("hybrid", "noise", float("inf")),
         ("single_receiver", "noise", 10 ** 400),
         ("single_receiver", "tol", float("nan")),
+        ("single_receiver", "tol", -1.0),
+        ("hybrid", "tol", -1e-9),
+        ("hybrid", "simulate.rest_tol", -1.0),
         ("single_receiver", "seed", -1),
         ("hybrid", "mix0", [[0.2, 0.3, 0.6], [0.25, 0.5, 0.25]]),
         ("hybrid", "alpha0", [-0.2, 0.1]),
@@ -344,6 +362,9 @@ class TestCli:
         ("single_receiver", "simulate", "dirac_at", "x"),
         ("single_receiver", "verify", "dev_points", "many"),
         ("single_receiver", "verify", "cce_tol", float("inf")),
+        ("single_receiver", "verify", "cce_tol", -1.0),
+        ("single_receiver", "verify", "nash_tol", -1e-9),
+        ("hybrid", "simulate", "rest_tol", -1e-3),
         ("hybrid", "analyze", "n_starts", 2.5),
         ("hybrid", "simulate", "mu_bar", float("nan")),
         ("hybrid", "simulate", "gate_switching", 0),
@@ -452,6 +473,28 @@ class TestCli:
         doc = dict(MINIMAL_SINGLE, task="simulate", users=2,
                    simulate={"grid_points": g, "theta": theta, "dt": 0.01, "t_end": 0.01})
         assert parse_doc(doc).block["grid"].n_points == g
+
+    def test_negative_tol_flag_exit_two(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", MINIMAL_SINGLE)
+        assert main(["analyze", str(path), "--tol", "-1"]) == 2
+        assert "s.json.tol: must be nonnegative, got -1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, task, key", [
+        ("single_receiver", "analyze", "tol"),
+        ("single_receiver", "verify", "cce_tol"),
+        ("single_receiver", "verify", "nash_tol"),
+        ("hybrid", "simulate", "rest_tol"),
+    ])
+    def test_zero_tolerance_is_accepted(self, kind, task, key):
+        if kind == "hybrid":
+            doc = json.loads(json.dumps(HYBRID_EXAMPLE))
+        elif task == "verify":
+            doc = dict(MINIMAL_SINGLE, task=task, verify={"profile": [3.0, 3.0, 3.0]})
+        else:
+            doc = dict(MINIMAL_SINGLE)
+        (doc if key == "tol" else doc[task])[key] = 0.0
+        sf = parse_doc(doc)
+        assert (sf.tol if key == "tol" else sf.block[key]) == 0.0
 
     def test_log_base_override(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", MINIMAL_SINGLE)

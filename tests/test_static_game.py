@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from macgame.capacity import (ScenarioError, SingleReceiverScenario, _log_scale, contains,
-                              safe_rates)
+from macgame.capacity import ScenarioError, SingleReceiverScenario, contains, safe_rates
 from macgame.cli import main
 from macgame.static_game import (
     UtilitySpec,
@@ -123,7 +122,7 @@ def loop_safe_rates(scenario):
     """r_{i,N} by the scalar per-user formula."""
     terms = scenario.power * scenario.gain
     return np.array([math.log1p(terms[i] / (scenario.noise + sum(
-        terms[k] for k in range(scenario.n_users) if k != i))) / _log_scale(scenario.log_base)
+        terms[k] for k in range(scenario.n_users) if k != i))) / scenario.log_scale
         for i in range(scenario.n_users)])
 
 
