@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log-base", choices=["2", "e"], default=None,
                        help="override the scenario log base")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the scenario tolerance")
+                       help="override the tolerance of single-receiver analyze and simulate")
     return parser
 
 

@@ -25,7 +25,7 @@ The integrated state stacks both blocks into one 2 x N x J array, mix first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ class HybridDynConfig:
     dt: float = 1e-3
     t_end: float = 10.0
     sample_every: int = 10
-    residual_tol: float = 1e-3
     channel_fitness: str = "payoff"
     gate_switching: bool = True
 
@@ -96,16 +95,16 @@ def channel_fitness(scenario: HybridScenario, alpha: np.ndarray, mix: np.ndarray
     raise ScenarioError(f"unknown channel fitness field {kind!r}")
 
 
-def build_field(scenario: HybridScenario, cfg: HybridDynConfig,
-                gated: bool = True) -> Callable[[np.ndarray], np.ndarray]:
+def build_field(scenario: HybridScenario,
+                cfg: HybridDynConfig) -> Callable[[np.ndarray], np.ndarray]:
     """The stacked derivative (chi, beta_dot) of a stacked (mix, beta) state,
     as a function of the state, with the per-run constants read once.
 
-    With gated set and cfg.gate_switching on, chi is zero wherever the
-    static profile (row sums of beta, mix) is infeasible.
+    With cfg.gate_switching on, chi is zero wherever the static profile (row
+    sums of beta, mix) is infeasible.
     """
     member, caps = region_tables(scenario)
-    bound, sum_caps, gate = caps + 1e-9, caps[-1], gated and cfg.gate_switching
+    bound, sum_caps, gate = caps + 1e-9, caps[-1], cfg.gate_switching
     neg_mu, theta, kind = -cfg.mu_bar, cfg.theta, cfg.channel_fitness
     add = np.add.reduce
 
@@ -228,7 +227,7 @@ def interior_rest_point_check(scenario: HybridScenario, state: HybridState,
     p, b = state.mix, state.beta
     interior = bool(np.all(p > tol) and np.all(b > tol))
     defects = np.abs((p * b).sum(axis=0) - scenario.cap_table[-1])
-    chi = build_field(scenario, cfg, gated=False)(np.stack((p, b)))[0]
+    chi = build_field(scenario, replace(cfg, gate_switching=False))(np.stack((p, b)))[0]
     chi_res = float(np.abs(chi).max())
     passes = interior and bool(np.all(defects <= tol)) and chi_res <= tol
     return RestPointReport(interior, defects, chi_res, passes)

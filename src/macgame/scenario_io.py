@@ -18,7 +18,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -69,9 +68,7 @@ class ScenarioFile:
     kind: str
     task: str
     scenario: SingleReceiverScenario | HybridScenario
-    utility: UtilitySpec
     seed: int
-    tol: float
     block: dict          # the task block: checked settings and the objects built from them
     canonical: dict      # canonical form for digesting / round-trips
     path: str = "<scenario>"
@@ -83,27 +80,29 @@ class ScenarioFile:
 
 
 # Task blocks: (settings with their defaults, other allowed keys, required
-# keys). parse_doc reads every setting once, by the type of its default: a
-# bool must be a JSON boolean, an int an integer >= 1, a float a finite
-# number, and a tolerance (a key ending in "tol") a finite number >= 0. The
-# run helpers read the checked values and built objects from
-# ScenarioFile.block.
+# keys, top-level settings with their defaults). A document may set a
+# top-level setting only where its task reads it. parse_doc reads every
+# setting once, by the type of its default: a bool must be a JSON boolean,
+# an int an integer >= 1, a float a finite number, and a tolerance (a key
+# ending in "tol") a finite number >= 0. The run helpers read the checked
+# values and built objects from ScenarioFile.block.
+_TOL = {"tol": 1e-9}
 _SINGLE_BLOCKS = {
-    "analyze": ({}, {"tau"}, set()),
+    "analyze": ({}, {"tau"}, set(), _TOL),
     "simulate": ({"grid_points": 101, "theta": 1.0, "growth": 1.0, "dt": 1e-2,
                   "t_end": 100.0, "sample_every": 100, "anchor_equilibrium": False},
-                 {"protocol", "initial"}, set()),
+                 {"protocol", "initial"}, set(), _TOL),
     "verify": ({"dev_points": 501, "cce_tol": 1e-6, "nash_tol": 1e-9},
-               {"device", "profile"}, set()),
+               {"device", "profile"}, set(), {}),
 }
 
 _HYBRID_BLOCKS = {
-    "analyze": ({"n_starts": 16, "dev_resolution": 0.05, "nash_tol": 1e-3}, set(), set()),
+    "analyze": ({"n_starts": 16, "dev_resolution": 0.05, "nash_tol": 1e-3}, set(), set(), {}),
     "simulate": ({"mu_bar": 0.9, "theta": 1.0, "dt": 1e-3, "t_end": 10.0,
                   "sample_every": 10, "rest_tol": 1e-3, "nash_tol": 1e-3,
                   "dev_resolution": 0.05, "gate_switching": True},
-                 {"mix0", "alpha0", "channel_fitness"}, {"mix0", "alpha0"}),
-    "verify": ({"nash_tol": 1e-3, "dev_resolution": 0.02}, {"profile"}, {"profile"}),
+                 {"mix0", "alpha0", "channel_fitness"}, {"mix0", "alpha0"}, {}),
+    "verify": ({"nash_tol": 1e-3, "dev_resolution": 0.02}, {"profile"}, {"profile"}, {}),
 }
 
 
@@ -163,7 +162,8 @@ def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
             raise ScenarioError(f"must be one of {TASKS}, got {task!r:.60}", "task")
         hybrid = kind == "hybrid"
         sizes = {"users", "receivers"} if hybrid else {"users"}
-        _expect(doc, {"log_base", "utility", "seed", "tol", task} | _REQUIRED | sizes,
+        settings, others, required, top = (_HYBRID_BLOCKS if hybrid else _SINGLE_BLOCKS)[task]
+        _expect(doc, {"log_base", "utility", "seed", task} | set(top) | _REQUIRED | sizes,
                 _REQUIRED | sizes)
         n = _integer(doc, "users", maximum=MAX_USERS)
         # every deviation grid has at least one row per receiver
@@ -173,17 +173,16 @@ def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
         log_base = doc.get("log_base", "2")
         scenario = (HybridScenario(power, gain, doc["noise"], log_base, utility) if hybrid
                     else SingleReceiverScenario(power, gain, doc["noise"], log_base))
-        settings, others, required = (_HYBRID_BLOCKS if hybrid else _SINGLE_BLOCKS)[task]
         block = dict(_object(doc, task, set(settings) | others, required, default={}))
+        block.update({key: _setting(doc, key, default) for key, default in top.items()})
         with _at(task):
             block.update({key: _setting(block, key, default) for key, default in settings.items()})
             if hybrid:
                 _hybrid_block(block, task, shape)
             else:
-                _single_block(block, task, scenario, utility)
-        return ScenarioFile(kind, task, scenario, utility,
+                _single_block(block, task, static_game.make_game(scenario, utility))
+        return ScenarioFile(kind, task, scenario,
                             seed=_integer(doc, "seed", minimum=0, default=0),
-                            tol=_setting(doc, "tol", 1e-9),
                             block=block, canonical=doc, path=path)
 
 
@@ -197,17 +196,16 @@ def _utility(doc: dict, n: int) -> UtilitySpec:
                            None if scale is None else check_array(scale, (n,), "scale"))
 
 
-def _single_block(block: dict, task: str, scenario: SingleReceiverScenario,
-                  utility: UtilitySpec) -> None:
-    n = scenario.n_users
+def _single_block(block: dict, task: str, game: StaticGame) -> None:
+    block["game"] = game
+    n = game.n_users
     if task == "analyze" and "tau" in block:
         block["tau"] = check_array(block["tau"], (n,), "tau", positive=True)
     elif task == "simulate":
         protocol = RevisionProtocol(block.get("protocol", "smith"), block["theta"],
                                     block["growth"])
         protocol.check_grid(block["grid_points"])
-        grid = ActionGrid.for_game(static_game.make_game(scenario, utility),
-                                   block["grid_points"], block["anchor_equilibrium"])
+        grid = ActionGrid.for_game(game, block["grid_points"], block["anchor_equilibrium"])
         block.update(
             grid=grid, initial=_initial_state(block.get("initial", "uniform"), grid),
             protocol=protocol,
@@ -250,7 +248,7 @@ def _hybrid_block(block: dict, task: str, shape: tuple) -> None:
         block["state0"] = HybridState(mix0, alpha0[:, None] * mix0)
         block["config"] = HybridDynConfig(
             theta=block["theta"], mu_bar=block["mu_bar"], dt=block["dt"], t_end=block["t_end"],
-            sample_every=block["sample_every"], residual_tol=block["rest_tol"],
+            sample_every=block["sample_every"],
             channel_fitness=block.get("channel_fitness", "payoff"),
             gate_switching=block["gate_switching"])
     elif task == "verify":
@@ -281,29 +279,15 @@ class RunReport:
             "kind": self.kind,
             "task": self.task,
             "input_digest": self.input_digest,
-            "verdicts": _plain(self.verdicts),
-            "metrics": _plain(self.metrics),
+            "verdicts": self.verdicts,
+            "metrics": self.metrics,
             "notes": list(self.notes),
             "artifacts": [str(a) for a in self.artifacts],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _plain(obj: Any):
-    """Convert numpy scalars/arrays into plain JSON-serializable values."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        # np.float64 is a float; arrays and the other numpy scalars (integers,
+        # bools) reach the default hook and become plain values via tolist()
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          default=lambda obj: obj.tolist()) + "\n"
 
 
 def run(sf: ScenarioFile, out_dir=None) -> RunReport:
@@ -317,7 +301,7 @@ def run(sf: ScenarioFile, out_dir=None) -> RunReport:
     report = RunReport(sf.kind, sf.task, sf.digest)
     with _at(sf.path):
         if sf.kind == "single_receiver":
-            game = static_game.make_game(sf.scenario, sf.utility)
+            game = sf.block["game"]
             if sf.task == "analyze":
                 _analyze_single(sf, game, report)
             elif sf.task == "simulate":
@@ -369,7 +353,7 @@ def _analyze_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> No
         report.metrics["normalized_equilibrium"] = {
             "rates": eq.rates, "c": eq.c, "zeta": eq.zeta, "residual": eq.residual}
     report.verdicts["equal_split_feasible"] = contains(
-        region, np.full(n, region.sum_capacity / n), sf.tol)
+        region, np.full(n, region.sum_capacity / n), sf.block["tol"])
 
 
 def _simulate_single(sf: ScenarioFile, game: StaticGame, report: RunReport,
@@ -377,7 +361,7 @@ def _simulate_single(sf: ScenarioFile, game: StaticGame, report: RunReport,
     blk = sf.block
     model = population.PopulationModel(game, blk["grid"])
     traj = population.simulate(blk["initial"], blk["protocol"], model, blk["integrator"],
-                               tol=sf.tol)
+                               tol=blk["tol"])
     csv_path = out_dir / "population.csv"
     traj.to_csv(csv_path)
     report.artifacts.append(csv_path.name)
@@ -389,7 +373,7 @@ def _simulate_single(sf: ScenarioFile, game: StaticGame, report: RunReport,
     report.metrics["max_negative_clip"] = traj.max_clip
     report.verdicts["mass_conserved"] = traj.max_drift <= 1e-8
     report.verdicts["in_mixed_region_final"] = population.in_mixed_region(
-        traj.final_state, model, sf.tol)
+        traj.final_state, model, blk["tol"])
 
 
 def _verify_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> None:
@@ -437,10 +421,9 @@ def _simulate_hybrid(sf: ScenarioFile, report: RunReport, out_dir: Path) -> None
     report.artifacts.append(csv_path.name)
 
     terminal = traj.final_state
-    rest = hybrid_dynamics.interior_rest_point_check(scenario, terminal, cfg,
-                                                     cfg.residual_tol)
-    t_chi = traj.first_time_below("chi", cfg.residual_tol)
-    t_beta = traj.first_time_below("beta", cfg.residual_tol)
+    rest = hybrid_dynamics.interior_rest_point_check(scenario, terminal, cfg, blk["rest_tol"])
+    t_chi = traj.first_time_below("chi", blk["rest_tol"])
+    t_beta = traj.first_time_below("beta", blk["rest_tol"])
     report.metrics["alpha_final"] = terminal.alpha
     report.metrics["mix_final"] = terminal.mix
     report.metrics["beta_final"] = terminal.beta
@@ -456,7 +439,8 @@ def _simulate_hybrid(sf: ScenarioFile, report: RunReport, out_dir: Path) -> None
     nash = hybrid_game.is_hybrid_nash(
         scenario, terminal.alpha, terminal.mix, blk["nash_tol"], blk["dev_resolution"])
     report.verdicts["terminal_profile_nash"] = nash.ok
-    if not nash.ok:
+    # a verdict that names no user rejects an infeasible profile
+    if not nash.ok and nash.user is None:
         report.notes.append(
             "terminal profile (alpha = row sums of beta, mix) is not a feasible "
             "Nash profile: with an interior mix the selection-weighted loads "

@@ -275,9 +275,10 @@ def test_criterion_7a_first_user_mix_uniform(reproduction):
 
 
 def test_criterion_7b_timescale_separation(reproduction):
-    _, cfg, traj, _ = reproduction
-    t_chi = traj.first_time_below("chi", cfg.residual_tol)
-    t_beta = traj.first_time_below("beta", cfg.residual_tol)
+    _, _, traj, _ = reproduction
+    # 1e-3 is the default rest_tol of a hybrid simulate block
+    t_chi = traj.first_time_below("chi", 1e-3)
+    t_beta = traj.first_time_below("beta", 1e-3)
     ok = t_chi is not None and t_beta is not None and t_chi < t_beta
     report_line("criterion 7b (mix residual settles first)", ok,
                 f"t_chi={t_chi}, t_beta={t_beta}")

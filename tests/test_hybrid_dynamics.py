@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ class TestBuiltField:
                     cfg = HybridDynConfig(theta=theta, mu_bar=rng.uniform(0.5, 2.0),
                                           channel_fitness=fitness, gate_switching=switching)
                     for gated in (True, False):
-                        field = build_field(s, cfg, gated)
+                        field = build_field(s, replace(cfg, gate_switching=switching and gated))
                         for state in states:
                             want = field_oracle(s, state, cfg, gated)
                             assert np.array_equal(field(state), want)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from macgame import hybrid_dynamics, population
 from macgame.capacity import ScenarioError
 from macgame.cli import main
-from macgame.hybrid_game import potential_psi, receiver_capacity
-from macgame.scenario_io import ScenarioFile, parse_doc, parse_scenario, run
+from macgame.hybrid_game import is_hybrid_nash, potential_psi, receiver_capacity
+from macgame.scenario_io import RunReport, ScenarioFile, parse_doc, parse_scenario, run
 from oracles import coalition_members, coalitions, exact_gains_oracle
 
 
@@ -19,6 +20,8 @@ def write(tmp_path, name, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 MINIMAL_SINGLE = {
     "kind": "single_receiver",
@@ -56,8 +59,8 @@ class TestParsing:
         assert sf.kind == "single_receiver"
         assert sf.scenario.log_base == "2"
         assert sf.seed == 0
-        assert sf.tol == 1e-9
-        assert sf.utility.family == "identity"
+        assert sf.block["tol"] == 1e-9
+        assert sf.block["game"].utility.family == "identity"
 
     def test_hybrid_example_echoes_capacities(self, tmp_path):
         sf = parse_scenario(write(tmp_path, "h.json", HYBRID_EXAMPLE))
@@ -156,6 +159,21 @@ class TestRunSimulate:
         assert report.metrics["alpha_final"] is not None
         assert "load_defects" in report.metrics
 
+    @pytest.mark.parametrize("t_end, infeasible", [(0.01, False), (3.0, True)])
+    def test_terminal_note_only_on_an_infeasible_profile(self, tmp_path, t_end, infeasible):
+        # at t = 0.01 the profile is feasible and user 1 gains 2.45 by
+        # deviating; by t = 3 the static loads break a bound
+        doc = json.loads((SCENARIOS / "simulate_hybrid_example.json").read_text())
+        doc["simulate"]["t_end"] = t_end
+        sf = parse_doc(doc)
+        report = run(sf, tmp_path)
+        verdict = is_hybrid_nash(sf.scenario, report.metrics["alpha_final"],
+                                 report.metrics["mix_final"], 1e-3, 0.05)
+        assert report.verdicts["terminal_profile_nash"] is verdict.ok is False
+        assert (verdict.user is None) is infeasible
+        assert len(report.notes) == infeasible
+        assert all("not a feasible Nash profile" in note for note in report.notes)
+
     def test_simulate_requires_out_dir(self, tmp_path):
         sf = parse_scenario(write(tmp_path, "h.json", HYBRID_EXAMPLE))
         with pytest.raises(ScenarioError):
@@ -238,8 +256,7 @@ class TestRunHybridAnalyzeVerify:
 
 
 def test_shipped_demo_scenarios_parse():
-    root = __import__("pathlib").Path(__file__).resolve().parents[1] / "scenarios"
-    files = sorted(root.glob("*.json"))
+    files = sorted(SCENARIOS.glob("*.json"))
     assert len(files) >= 4
     for f in files:
         sf = parse_scenario(f)
@@ -295,7 +312,6 @@ class TestCli:
         ("single_receiver", "noise", 10 ** 400),
         ("single_receiver", "tol", float("nan")),
         ("single_receiver", "tol", -1.0),
-        ("hybrid", "tol", -1e-9),
         ("hybrid", "simulate.rest_tol", -1.0),
         ("single_receiver", "seed", -1),
         ("hybrid", "mix0", [[0.2, 0.3, 0.6], [0.25, 0.5, 0.25]]),
@@ -481,6 +497,7 @@ class TestCli:
 
     @pytest.mark.parametrize("kind, task, key", [
         ("single_receiver", "analyze", "tol"),
+        ("single_receiver", "simulate", "tol"),
         ("single_receiver", "verify", "cce_tol"),
         ("single_receiver", "verify", "nash_tol"),
         ("hybrid", "simulate", "rest_tol"),
@@ -490,11 +507,31 @@ class TestCli:
             doc = json.loads(json.dumps(HYBRID_EXAMPLE))
         elif task == "verify":
             doc = dict(MINIMAL_SINGLE, task=task, verify={"profile": [3.0, 3.0, 3.0]})
+        elif task == "simulate":
+            doc = dict(MINIMAL_SINGLE, task=task, simulate={"grid_points": 21})
         else:
             doc = dict(MINIMAL_SINGLE)
         (doc if key == "tol" else doc[task])[key] = 0.0
         sf = parse_doc(doc)
-        assert (sf.tol if key == "tol" else sf.block[key]) == 0.0
+        assert sf.block[key] == 0.0
+
+    @pytest.mark.parametrize("kind, task, value, flag", [
+        ("hybrid", "analyze", 1e-9, False),
+        ("hybrid", "simulate", -1e-9, False),
+        ("hybrid", "verify", 1e-9, False),
+        ("single_receiver", "verify", 1e-9, False),
+        ("hybrid", "analyze", 1000.0, True),
+    ])
+    def test_tol_where_no_task_reads_it_exit_two(self, tmp_path, capsys, kind, task, value,
+                                                 flag):
+        doc = dict(next(d for d in TEMPLATES if (d["kind"], d["task"]) == (kind, task)))
+        if not flag:
+            doc["tol"] = value
+        path = write(tmp_path, "t.json", doc)
+        argv = [task, str(path), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--tol", str(value)] if flag else [])) == 2
+        assert "t.json: unknown keys ['tol']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_log_base_override(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", MINIMAL_SINGLE)
@@ -567,3 +604,21 @@ def test_parse_doc_yields_a_scenario_or_a_scenario_error(data):
         assert isinstance(parse_doc(doc), ScenarioFile)
     except ScenarioError:
         pass
+
+
+def test_report_json_of_numpy_values_is_that_of_python_values():
+    def report(verdicts, metrics):
+        return RunReport("hybrid", "simulate", "0" * 64, verdicts, metrics).to_json()
+
+    numpy_side = report(
+        {"a": np.bool_(True), "b": np.bool_(False)},
+        {"x": np.float64(0.1), "big": np.float64(1e300), "inf": np.float64(np.inf),
+         "n": np.int64(-7), "table": np.array([[1.5, -2.0], [np.nan, 3.0]]),
+         "counts": np.arange(3, dtype=np.int64), "flags": np.array([True, False]),
+         "nested": [{"rates": np.array([0.25, 0.5]), "k": np.int64(2)}, (np.float64(1.0),)]})
+    python_side = report(
+        {"a": True, "b": False},
+        {"x": 0.1, "big": 1e300, "inf": math.inf, "n": -7,
+         "table": [[1.5, -2.0], [math.nan, 3.0]], "counts": [0, 1, 2], "flags": [True, False],
+         "nested": [{"rates": [0.25, 0.5], "k": 2}, [1.0]]})
+    assert numpy_side == python_side
