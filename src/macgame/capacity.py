@@ -22,6 +22,11 @@ import numpy as np
 
 MAX_USERS = 20
 
+#: cap on the (2^N - 1) * J entries of a coalition-bound table: a 20-user,
+#: single-receiver table fits; measured, any table at the cap costs no more
+#: than that one (README, "Scenario files")
+MAX_BOUND_ENTRIES = 1 << 20
+
 #: log base tags accepted throughout the package
 LOG_BASES = ("2", "e")
 
@@ -69,6 +74,16 @@ def check_array(value, shape: tuple, name: str, nonneg: bool = False,
     if row_tol is not None and (np.abs(arr.sum(axis=-1) - 1.0) > row_tol).any():
         raise ScenarioError("rows must sum to one", name)
     return arr
+
+
+def check_bound_table(n_users: int, n_receivers: int = 1) -> None:
+    """Refuse a channel whose coalition-bound table, (2^N - 1) * J entries,
+    exceeds MAX_BOUND_ENTRIES; nothing is allocated."""
+    entries = ((1 << n_users) - 1) * n_receivers
+    if entries > MAX_BOUND_ENTRIES:
+        raise ScenarioError(f"users={n_users} with receivers={n_receivers} needs a "
+                            f"coalition-bound table of {entries} entries, over the cap of "
+                            f"{MAX_BOUND_ENTRIES}", "receivers")
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,15 @@
 Exit codes: 0 all verdicts pass, 1 some verdict is false, 2 parse or
 validation error, 3 numeric abort. Several files run one after another, in
 the given order; the exit code is the largest of theirs.
+
+The argument parser is built once per process, on the first main call, and
+reused by every later one: in-process callers pay for its construction once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -25,6 +29,7 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macgame",

@@ -141,10 +141,11 @@ def _group_values(values: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Group indices by value, merging values within MERGE_TOL."""
     order = np.argsort(values, kind="stable")
     groups: list[tuple[float, list[int]]] = []
-    for idx in order:
-        v = values[idx]
+    # the loop reads Python floats and ints, which compare and index faster
+    # than numpy scalars; the arithmetic is the same
+    for idx, v in zip(order.tolist(), values[order].tolist()):
         if groups and abs(v - groups[-1][0]) <= MERGE_TOL:
-            groups[-1][1].append(int(idx))
+            groups[-1][1].append(idx)
         else:
-            groups.append((float(v), [int(idx)]))
+            groups.append((v, [idx]))
     return [(v, np.asarray(ms, dtype=int)) for v, ms in groups]

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import correlated, hybrid_dynamics, hybrid_game, population, static_game
 from .capacity import (MAX_USERS, ScenarioError, SingleReceiverScenario, check_array,
-                       coalition_table, contains, safe_rates)
+                       check_bound_table, coalition_table, contains, safe_rates)
 from .hybrid_dynamics import HybridDynConfig, HybridState
-from .hybrid_game import MAX_SIMPLEX_ROWS, HybridProfile, HybridScenario
+from .hybrid_game import HybridProfile, HybridScenario
 from .numerics import IntegratorConfig
 from .population import ActionGrid, RevisionProtocol
 from .static_game import StaticGame, UtilitySpec
@@ -166,8 +166,8 @@ def parse_doc(doc, path: str = "<scenario>") -> ScenarioFile:
         _expect(doc, {"log_base", "utility", "seed", task} | set(top) | _REQUIRED | sizes,
                 _REQUIRED | sizes)
         n = _integer(doc, "users", maximum=MAX_USERS)
-        # every deviation grid has at least one row per receiver
-        shape = (n, _integer(doc, "receivers", maximum=MAX_SIMPLEX_ROWS)) if hybrid else (n,)
+        shape = (n, _integer(doc, "receivers")) if hybrid else (n,)
+        check_bound_table(*shape)
         utility = _utility(doc, n)
         power, gain = _filled(doc, "power", shape), _filled(doc, "gain", shape)
         log_base = doc.get("log_base", "2")

@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 from macgame.hybrid_game import HybridScenario
 
 from macgame.capacity import (
+    MAX_BOUND_ENTRIES,
+    MAX_USERS,
     ScenarioError,
     SingleReceiverScenario,
     build_region,
+    check_bound_table,
     coalition_table,
     contains,
     on_max_face,
@@ -94,6 +97,16 @@ def test_both_scenario_kinds_refuse_21_users_when_built(cls):
     _channel(cls, n=20)
     with pytest.raises(ScenarioError, match="user count exceeds the enumeration guard"):
         _channel(cls, n=21)
+
+
+def test_bound_table_cap_admits_every_single_receiver_table():
+    check_bound_table(MAX_USERS)
+    check_bound_table(1, MAX_BOUND_ENTRIES)
+    for n, nj in ((MAX_USERS, 2), (1, MAX_BOUND_ENTRIES + 1), (12, 4096)):
+        with pytest.raises(ScenarioError, match=f"^receivers: users={n} with receivers={nj} "
+                                                f"needs a coalition-bound table of "
+                                                f"{((1 << n) - 1) * nj} entries"):
+            check_bound_table(n, nj)
 
 
 def test_no_other_module_imports_a_private_capacity_name():

@@ -233,3 +233,32 @@ def test_is_cce_matches_the_table_oracle(utility):
         got, want = is_cce(device, game, tol=tol), table_oracle_verdict(device, game, tol=tol)
         assert (got.ok, got.witness) == (want.ok, want.witness)
 
+
+
+def group_values_oracle(values):
+    """_group_values as a loop over numpy scalars."""
+    order = np.argsort(values, kind="stable")
+    groups = []
+    for idx in order:
+        v = values[idx]
+        if groups and abs(v - groups[-1][0]) <= MERGE_TOL:
+            groups[-1][1].append(int(idx))
+        else:
+            groups.append((float(v), [int(idx)]))
+    return [(v, np.asarray(ms, dtype=int)) for v, ms in groups]
+
+
+def test_group_values_matches_the_scalar_loop():
+    # repeated values, chains of steps at and just past MERGE_TOL, and the
+    # atom counts of the benchmark's devices
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = (1, 2, 16, 32, 48, 64)[trial % 6]
+        base = rng.choice(rng.uniform(-1.0, 5.0, max(n // 3, 1)), size=n)
+        jitter = rng.choice([0.0, 0.5 * MERGE_TOL, MERGE_TOL, 2.0 * MERGE_TOL], size=n)
+        values = base + np.cumsum(jitter) * (trial % 2)
+        got, want = _group_values(values), group_values_oracle(values)
+        assert len(got) == len(want)
+        for (v, members), (v0, members0) in zip(got, want):
+            assert type(v) is float and v == v0
+            assert members.dtype == members0.dtype and np.array_equal(members, members0)

@@ -33,6 +33,16 @@ def test_shipped_scenario_output_is_unchanged(name, capsys):
     assert digest == GOLDEN[name]
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
+def test_shipped_scenarios_back_to_back_are_unchanged(reverse, capsys):
+    # one process, one shared parser: the second file's output must not
+    # depend on the first having run
+    for name in sorted(GOLDEN, reverse=reverse):
+        code = cli.main([name.split("_")[0], str(SCENARIOS / name)])
+        digest = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+        assert digest == GOLDEN[name], name
+
+
 # N = 2 on 401 nodes at theta = 1.5: the dense switch-matrix field, sampled
 # at each of its 10 RK4 steps
 SMITH_DOC = {"kind": "single_receiver", "task": "simulate", "users": 2, "power": 25.0,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macgame import hybrid_dynamics, population
+from macgame import capacity, hybrid_dynamics, population, scenario_io
 from macgame.capacity import ScenarioError
 from macgame.cli import main
 from macgame.hybrid_game import is_hybrid_nash, potential_psi, receiver_capacity
@@ -489,6 +489,34 @@ class TestCli:
         doc = dict(MINIMAL_SINGLE, task="simulate", users=2,
                    simulate={"grid_points": g, "theta": theta, "dt": 0.01, "t_end": 0.01})
         assert parse_doc(doc).block["grid"].n_points == g
+
+    def test_bound_table_over_the_cap_exit_two(self, tmp_path, capsys, monkeypatch):
+        # 2 users on 3 receivers need a table of 3 * 3 entries
+        def no_fill(*args, **kwargs):
+            raise AssertionError("a refused scenario filled its channel arrays")
+        monkeypatch.setattr(capacity, "MAX_BOUND_ENTRIES", 8)
+        monkeypatch.setattr(scenario_io, "_filled", no_fill)
+        path = write(tmp_path, "big.json", HYBRID_EXAMPLE)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert (f"big.json.receivers: users=2 with receivers=3 needs a coalition-bound "
+                f"table of 9 entries, over the cap of 8") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bound_table_at_the_cap_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(capacity, "MAX_BOUND_ENTRIES", 9)
+        assert parse_doc(HYBRID_EXAMPLE).scenario.cap_table.shape == (3, 3)
+
+    def test_twenty_users_on_4096_receivers_are_refused_at_parse(self):
+        # each count is within its own bound, but the table would take 32 GiB;
+        # a resolution of 1.0 keeps the simplex grid at one row per receiver
+        doc = {"kind": "hybrid", "task": "analyze", "users": 20, "receivers": 4096,
+               "power": 1.0, "gain": 0.2, "noise": 0.01, "analyze": {"dev_resolution": 1.0}}
+        with pytest.raises(ScenarioError) as exc:
+            parse_doc(doc, "big.json")
+        assert exc.value.key == "big.json.receivers"
+        assert f"table of {(2 ** 20 - 1) * 4096} entries" in exc.value.message
 
     def test_negative_tol_flag_exit_two(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", MINIMAL_SINGLE)

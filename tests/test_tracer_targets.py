@@ -1,6 +1,7 @@
 """The benchmark tracer wraps macgame functions by name, and the benchmark's
 stage and check scripts read macgame names and call macgame functions; each
-name must exist and each call must bind to its function's signature."""
+name must exist and each call must bind to its function's signature. Every
+operation of the benchmark's workloads must parse, within every size cap."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pytest
 
 import macgame
 import macgame.cli
+from macgame.scenario_io import parse_doc
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 TRACER = BENCHMARK / "tracer.py"
@@ -103,3 +105,12 @@ def test_solve_cop_binds_the_tracer_call():
     # the tracer's wrapper calls solve_cop(scenario, n_starts, *args, **kwargs)
     # with its own trace list set in kwargs
     inspect.signature(macgame.hybrid_game.solve_cop).bind(None, 16, trace=[])
+
+
+@pytest.mark.parametrize("workload", ["population", "hybrid", "equilibria"])
+def test_every_benchmark_op_parses_within_every_cap(workload, monkeypatch):
+    # the sizes of the operations are fixed by the workload, not by the seed
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    workloads = importlib.import_module("workloads")
+    for op in workloads.WORKLOADS[workload](0):
+        assert parse_doc(op.doc, op.name).task == op.command
