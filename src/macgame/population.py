@@ -30,11 +30,11 @@ PROTOCOL_KINDS = ("bnn", "replicator", "smith")
 #: enumeration guard on the G^(N-1) companion table, like capacity.MAX_USERS
 MAX_TABLE_ENTRIES = 1 << 20
 
-#: smallest grid on which integer-theta Smith runs the sorted field instead
-#: of the dense G x G switch matrix: measured against the in-place matrix,
-#: the sorted field is the faster from here on at theta = 1 and 2 (from
-#: G = 81 at theta = 1; at theta = 2 the two tie at G = 101 to 115, and at
-#: 128 take 33 against 42 us; README, "Notes on the dynamics")
+#: smallest grid on which Smith runs the sorted field instead of the dense
+#: G x G switch matrix, for every theta: measured against the in-place
+#: matrix, the sorted field is the faster from here on at theta = 1, 1.5
+#: and 2 (from G = 81 at theta = 1; at theta = 2 the two tie at G = 101 to
+#: 115, and at 128 take 33 against 42 us; README, "Notes on the dynamics")
 SORTED_SMITH_MIN_POINTS = 128
 
 
@@ -126,9 +126,11 @@ class RevisionProtocol:
             raise ScenarioError(f"must be positive, got {self.growth!r}", "growth")
 
     def check_grid(self, n_points: int) -> None:
-        """Refuse a grid on which the field needs a G x G switch matrix of
-        more than MAX_TABLE_ENTRIES entries. Only a non-integer theta can:
-        an integer one runs the sorted field from SORTED_SMITH_MIN_POINTS on."""
+        """Refuse a grid on which the field may need a table of more than
+        MAX_TABLE_ENTRIES entries. Only a non-integer theta can: below
+        SORTED_SMITH_MIN_POINTS it builds the G x G switch matrix, and from
+        there on a table over the distinct fitness values, G x G when every
+        value differs. An integer theta runs the sorted field in O(G)."""
         if not float(self.theta).is_integer() and n_points ** 2 > MAX_TABLE_ENTRIES:
             raise ScenarioError(f"smith theta={self.theta:g} with grid_points={n_points} needs "
                                 f"a {n_points} x {n_points} switch matrix, over the cap of "
@@ -246,20 +248,39 @@ def _switch_matrix(protocol: RevisionProtocol, F: np.ndarray) -> np.ndarray:
 
 
 def _sorted_smith_flows(lam: np.ndarray, F: np.ndarray,
-                        theta: int) -> tuple[np.ndarray, np.ndarray]:
+                        theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Smith inflow sum_x lam_x max(F_a - F_x, 0)^theta and outflow
-    lam_a sum_x max(F_x - F_a, 0)^theta for integer theta, in O(theta G).
+    lam_a sum_x max(F_x - F_a, 0)^theta on F sorted stably.
 
-    With F sorted and d_k = F_(k+1) - F_(k) >= 0, the sums below a node,
-    I_r[k] = sum_{j<k} lam_(j) (F_(k) - F_(j))^r, grow by the binomial
-    expansion of (d_k + F_(k) - F_(j))^r:
+    Integer theta runs in O(theta G). With d_k = F_(k+1) - F_(k) >= 0, the
+    sums below a node, I_r[k] = sum_{j<k} lam_(j) (F_(k) - F_(j))^r, grow by
+    the binomial expansion of (d_k + F_(k) - F_(j))^r:
         I_r[k+1] - I_r[k] = d_k^r Lam_{<=k} + sum_{1<=s<r} C(r,s) d_k^(r-s) I_s[k],
     and the unweighted sums above a node, U_r, shrink the same way from the
     counts above k. Every term is nonnegative, so nothing cancels and the
     result does not depend on a shift of F; ties give d = 0.
+
+    Any other theta collapses equal values into runs: with v_k the K
+    distinct values, w_k the mass and c_k the node count of each, one
+    K x K table gap[k, j] = max(v_k - v_j, 0)^theta gives the inflow
+    (gap @ w)_k and the outflow lam_a (c @ gap)_k of a node of run k.
     """
     order = np.argsort(F, kind="stable")
     f, w = F[order], lam[order]
+    inflow, outflow = np.empty_like(F), np.empty_like(F)
+    if not float(theta).is_integer():
+        first = np.concatenate(([True], f[1:] != f[:-1]))
+        starts = np.flatnonzero(first)
+        run = np.cumsum(first) - 1
+        v = f[starts]
+        gap = v[:, None] - v[None, :]
+        np.maximum(gap, 0.0, out=gap)
+        np.power(gap, theta, out=gap, where=gap > 0.0)
+        counts = np.diff(starts, append=f.size).astype(float)
+        inflow[order] = (gap @ np.add.reduceat(w, starts))[run]
+        outflow[order] = w * (counts @ gap)[run]
+        return inflow, outflow
+    theta = int(theta)
     d = np.diff(f)
     d_pow = [None, d]
     for _ in range(2, theta + 1):
@@ -275,7 +296,6 @@ def _sorted_smith_flows(lam: np.ndarray, F: np.ndarray,
             step_out += c * dec[s][1:]
         inc.append(np.concatenate(([0.0], np.cumsum(step_in))))
         dec.append(np.concatenate((np.cumsum(step_out[::-1])[::-1], [0.0])))
-    inflow, outflow = np.empty_like(F), np.empty_like(F)
     inflow[order] = inc[theta]
     outflow[order] = w * dec[theta]
     return inflow, outflow
@@ -301,8 +321,8 @@ def _rhs_unchecked(lam: np.ndarray, protocol: RevisionProtocol,
         # to a; the net inflow sums to lambda_a (F_a - lambda.F), so nodes
         # without mass stay without mass
         return K * lam * (F - float(lam @ F))
-    if F.size >= SORTED_SMITH_MIN_POINTS and float(protocol.theta).is_integer():
-        inflow, outflow = _sorted_smith_flows(lam, F, int(protocol.theta))
+    if F.size >= SORTED_SMITH_MIN_POINTS:
+        inflow, outflow = _sorted_smith_flows(lam, F, protocol.theta)
     else:
         B = _switch_matrix(protocol, F)
         inflow = lam @ B

@@ -12,6 +12,7 @@ greedy corners for linear welfare, the decomposition algorithm for concave.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -287,7 +288,9 @@ def efficiency_metrics(game: StaticGame) -> dict[str, float]:
         return {"spoa": 1.0, "pos": 1.0, "social_optimum": opt_val}
     n = game.n_users
     if n > MAX_VERTEX_USERS:
-        raise ScenarioError("face vertex enumeration limited to small user counts")
+        raise ScenarioError(f"users={n} needs the worst equilibrium searched over {n}! = "
+                            f"{math.factorial(n)} face vertices, over the cap of "
+                            f"{MAX_VERTEX_USERS}", "users")
     # the minimum over all N! corners needs no merging of orders that give
     # the same corner
     corners = _corners(game, np.array(list(itertools.permutations(range(n)))))

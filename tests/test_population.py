@@ -250,25 +250,57 @@ def smith_fitness(g, rng, shift, case):
     return F + shift
 
 
+def assert_flows_match_switch_matrix(theta, g, rng):
+    proto = RevisionProtocol("smith", float(theta))
+    for shift in (0.0, 1e3):
+        for case in ("distinct", "ties", "gated"):
+            F = smith_fitness(g, rng, shift, case)
+            lam = rng.dirichlet(np.full(g, 0.5))
+            B = _switch_matrix(proto, F)
+            dense_in, dense_out = lam @ B, lam * B.sum(axis=1)
+            inflow, outflow = _sorted_smith_flows(lam, F, theta)
+            largest = max(dense_in.max(), dense_out.max())
+            err = max(np.abs(inflow - dense_in).max(), np.abs(outflow - dense_out).max())
+            assert err <= 1e-13 * largest, (shift, case, err / largest)
+            # mass balance within the summation bound G eps of the total flow
+            assert abs((inflow - outflow).sum()) <= g * 1e-16 * inflow.sum(), (shift, case)
+
+
+def gated_model(g):
+    """N = 2 on g nodes, with uniform mass below 0.8 of the equal split."""
+    game = sym_game(2)
+    model = PopulationModel(game, ActionGrid.for_game(game, g))
+    lam = np.where(model.grid.points <= 0.8 * model.sum_capacity / 2, 1.0, 0.0)
+    return model, lam / lam.sum()
+
+
+def traced_peak(fn):
+    """fn() and the peak of its traced allocations. numpy's iterator buffers,
+    128 KiB at the default size and as large as a 127 x 127 matrix, are
+    shrunk to 16 KiB so that the peak measures the arrays themselves."""
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+
+
 class TestSortedSmithField:
     @pytest.mark.parametrize("theta", [1, 2, 3])
     @pytest.mark.parametrize("g", [2, 3, SORTED_SMITH_MIN_POINTS - 1, SORTED_SMITH_MIN_POINTS,
                                    401, 1601])
     def test_matches_switch_matrix(self, theta, g):
-        rng = np.random.default_rng(10 * g + theta)
-        proto = RevisionProtocol("smith", float(theta))
-        for shift in (0.0, 1e3):
-            for case in ("distinct", "ties", "gated"):
-                F = smith_fitness(g, rng, shift, case)
-                lam = rng.dirichlet(np.full(g, 0.5))
-                B = _switch_matrix(proto, F)
-                dense_in, dense_out = lam @ B, lam * B.sum(axis=1)
-                inflow, outflow = _sorted_smith_flows(lam, F, theta)
-                largest = max(dense_in.max(), dense_out.max())
-                err = max(np.abs(inflow - dense_in).max(), np.abs(outflow - dense_out).max())
-                assert err <= 1e-13 * largest, (shift, case, err / largest)
-                # mass balance within the summation bound G eps of the total flow
-                assert abs((inflow - outflow).sum()) <= g * 1e-16 * inflow.sum(), (shift, case)
+        assert_flows_match_switch_matrix(theta, g, np.random.default_rng(10 * g + theta))
+
+    @pytest.mark.parametrize("theta", [1.25, 1.5, 2.5, 3.7])
+    @pytest.mark.parametrize("g", [SORTED_SMITH_MIN_POINTS, SORTED_SMITH_MIN_POINTS + 1,
+                                   401, 1024])
+    def test_value_table_matches_switch_matrix(self, theta, g):
+        assert_flows_match_switch_matrix(theta, g,
+                                         np.random.default_rng(10 * g + int(100 * theta)))
 
     def test_rhs_runs_dense_below_the_crossover_and_sorted_at_it(self, monkeypatch):
         calls = []
@@ -277,15 +309,14 @@ class TestSortedSmithField:
                             lambda *a: calls.append("sorted") or sorted_flows(*a))
         monkeypatch.setattr(population, "_switch_matrix",
                             lambda *a: calls.append("dense") or switch(*a))
-        game = sym_game(2)
         for g, theta, path in ((SORTED_SMITH_MIN_POINTS - 1, 1.0, "dense"),
                                (SORTED_SMITH_MIN_POINTS, 1.0, "sorted"),
                                (SORTED_SMITH_MIN_POINTS, 2.0, "sorted"),
-                               (SORTED_SMITH_MIN_POINTS, 1.5, "dense")):
-            model = PopulationModel(game, ActionGrid.for_game(game, g))
-            lam = np.where(model.grid.points <= 0.8 * model.sum_capacity / 2, 1.0, 0.0)
+                               (SORTED_SMITH_MIN_POINTS - 1, 1.5, "dense"),
+                               (SORTED_SMITH_MIN_POINTS, 1.5, "sorted")):
+            model, lam = gated_model(g)
             calls.clear()
-            rhs = mean_dynamics_rhs(lam / lam.sum(), RevisionProtocol("smith", theta), model)
+            rhs = mean_dynamics_rhs(lam, RevisionProtocol("smith", theta), model)
             assert calls == [path], (g, theta)
             assert np.abs(rhs).max() > 0.0
 
@@ -304,20 +335,26 @@ class TestSortedSmithField:
 
     def test_dense_field_allocates_one_switch_matrix(self):
         # the G x G matrix is built in one buffer; the form with a fresh
-        # temporary per step peaked at 2.13 G^2 doubles here
-        game, g = sym_game(2), 401
-        model = PopulationModel(game, ActionGrid.for_game(game, g))
-        lam = np.where(model.grid.points <= 0.8 * model.sum_capacity / 2, 1.0, 0.0)
-        lam /= lam.sum()
-        proto = RevisionProtocol("smith", 1.5)
-        tracemalloc.start()
-        try:
-            rhs = mean_dynamics_rhs(lam, proto, model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # temporary per step peaks at 2.01 G^2 doubles here, this one at 1.15
+        g = SORTED_SMITH_MIN_POINTS - 1
+        model, lam = gated_model(g)
+        rhs, peak = traced_peak(lambda: mean_dynamics_rhs(lam, RevisionProtocol("smith", 1.5),
+                                                          model))
         assert np.abs(rhs).max() > 0.0
         assert peak < 1.5 * g * g * 8, peak / (g * g * 8)
+
+    @pytest.mark.parametrize("g", [401, 1024])
+    def test_value_table_allocates_one_k_by_k_table(self, g):
+        # K distinct fitness values: one K x K table and its positive mask,
+        # measured at 1.15 K^2 doubles (G = 401, K = 361) and 1.13 (G = 1024,
+        # K = 921); K <= G, so never more than the dense field's buffer
+        model, lam = gated_model(g)
+        k = np.unique(fitness_vector(model, lam)).size
+        assert k < g
+        rhs, peak = traced_peak(lambda: mean_dynamics_rhs(lam, RevisionProtocol("smith", 1.5),
+                                                          model))
+        assert np.abs(rhs).max() > 0.0
+        assert peak < 1.3 * k * k * 8, peak / (k * k * 8)
 
 
 class TestMeanDynamics:

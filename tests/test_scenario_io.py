@@ -518,6 +518,23 @@ class TestCli:
         assert exc.value.key == "big.json.receivers"
         assert f"table of {(2 ** 20 - 1) * 4096} entries" in exc.value.message
 
+    def test_vertex_search_over_the_cap_exit_two(self, tmp_path, capsys):
+        doc = dict(MINIMAL_SINGLE, users=7, utility={"family": "log1p"})
+        path = write(tmp_path, "big.json", doc)
+        assert main(["analyze", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert ("big.json.users: users=7 needs the worst equilibrium searched over "
+                "7! = 5040 face vertices, over the cap of 6") in err
+        assert "Traceback" not in err
+
+    def test_identity_utility_needs_no_vertex_search(self, tmp_path, capsys):
+        # every equilibrium of the identity family has welfare C_N
+        path = write(tmp_path, "s.json", dict(MINIMAL_SINGLE, users=7))
+        assert main(["analyze", str(path)]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert metrics["spoa"] == 1.0 and metrics["pos"] == 1.0
+
     def test_negative_tol_flag_exit_two(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", MINIMAL_SINGLE)
         assert main(["analyze", str(path), "--tol", "-1"]) == 2
