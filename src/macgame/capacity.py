@@ -20,12 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-MAX_USERS = 20
-
-#: cap on the (2^N - 1) * J entries of a coalition-bound table: a 20-user,
-#: single-receiver table fits; measured, any table at the cap costs no more
-#: than that one (README, "Scenario files")
-MAX_BOUND_ENTRIES = 1 << 20
+#: the one size budget of every table a document asks for, in entries;
+#: measured, a bound table at the budget costs no more than the 20-user,
+#: single-receiver one (README, "Scenario files")
+MAX_TABLE_ENTRIES = 1 << 20
+#: coalitions are dense bitmasks, so every single-receiver bound table fits
+MAX_USERS = MAX_TABLE_ENTRIES.bit_length() - 1
 
 #: log base tags accepted throughout the package
 LOG_BASES = ("2", "e")
@@ -76,14 +76,17 @@ def check_array(value, shape: tuple, name: str, nonneg: bool = False,
     return arr
 
 
+def check_table(settings: str, table: str, entries: int, key: str) -> None:
+    """Refuse a table over MAX_TABLE_ENTRIES before it is filled."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise ScenarioError(f"{settings} needs a {table} of {entries} entries, over the cap of "
+                            f"{MAX_TABLE_ENTRIES}", key)
+
+
 def check_bound_table(n_users: int, n_receivers: int = 1) -> None:
-    """Refuse a channel whose coalition-bound table, (2^N - 1) * J entries,
-    exceeds MAX_BOUND_ENTRIES; nothing is allocated."""
-    entries = ((1 << n_users) - 1) * n_receivers
-    if entries > MAX_BOUND_ENTRIES:
-        raise ScenarioError(f"users={n_users} with receivers={n_receivers} needs a "
-                            f"coalition-bound table of {entries} entries, over the cap of "
-                            f"{MAX_BOUND_ENTRIES}", "receivers")
+    """Refuse a channel whose (2^N - 1) * J coalition bounds are over budget."""
+    check_table(f"users={n_users} with receivers={n_receivers}", "coalition-bound table",
+                ((1 << n_users) - 1) * n_receivers, "receivers")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import Channel, ScenarioError, check_array, coalition_table, room
+from .capacity import (MAX_TABLE_ENTRIES, Channel, ScenarioError, check_array, check_table,
+                       coalition_table, room)
 from .numerics import NumericsError
 from .static_game import UtilitySpec
 
@@ -124,9 +125,6 @@ def potential_psi(scenario: HybridScenario, alpha, mix, tol: float = 1e-9) -> fl
     return float(np.sum(p * scenario.g(scenario.users, a[:, None] * p), axis=1).sum())
 
 
-#: largest deviation simplex grid that is_hybrid_nash builds
-MAX_SIMPLEX_ROWS = 1 << 20
-
 #: points of is_hybrid_nash's rate grid over [0, sum_j C_{j,{i}}]
 RATE_POINTS = 101
 
@@ -135,16 +133,15 @@ def grid_denominator(n_receivers: int, resolution: float) -> int:
     """Denominator m = 1/resolution of the deviation simplex grid.
 
     Refuses a resolution outside (0, 1] and one whose grid, C(m + J - 1, J - 1)
-    rows, would exceed MAX_SIMPLEX_ROWS.
+    rows, would exceed capacity.MAX_TABLE_ENTRIES.
     """
     if not 0.0 < resolution <= 1.0:
         raise ScenarioError(f"must lie in (0, 1], got {resolution!r}", "dev_resolution")
     # past the cap m only matters for a single receiver, whose grid is one row
-    m = max(int(round(min(1.0 / resolution, MAX_SIMPLEX_ROWS))), 1)
-    rows = math.comb(m + n_receivers - 1, n_receivers - 1)
-    if rows > MAX_SIMPLEX_ROWS:
-        raise ScenarioError(f"{resolution} gives {rows} simplex rows over {n_receivers} "
-                            f"receivers, above the cap {MAX_SIMPLEX_ROWS}", "dev_resolution")
+    m = max(int(round(min(1.0 / resolution, MAX_TABLE_ENTRIES))), 1)
+    check_table(f"dev_resolution={resolution:g} with receivers={n_receivers}",
+                "deviation simplex grid", math.comb(m + n_receivers - 1, n_receivers - 1),
+                "dev_resolution")
     return m
 
 

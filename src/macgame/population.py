@@ -21,14 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .capacity import ScenarioError, check_array
+from .capacity import ScenarioError, check_array, check_table
 from .numerics import IntegratorConfig, integrate, write_csv
 from .static_game import StaticGame
 
 PROTOCOL_KINDS = ("bnn", "replicator", "smith")
-
-#: enumeration guard on the G^(N-1) companion table, like capacity.MAX_USERS
-MAX_TABLE_ENTRIES = 1 << 20
 
 #: smallest grid on which Smith runs the sorted field instead of the dense
 #: G x G switch matrix, for every theta: measured against the in-place
@@ -126,15 +123,14 @@ class RevisionProtocol:
             raise ScenarioError(f"must be positive, got {self.growth!r}", "growth")
 
     def check_grid(self, n_points: int) -> None:
-        """Refuse a grid on which the field may need a table of more than
-        MAX_TABLE_ENTRIES entries. Only a non-integer theta can: below
+        """Refuse a grid on which the field may need a table over
+        capacity.MAX_TABLE_ENTRIES. Only a non-integer theta can: below
         SORTED_SMITH_MIN_POINTS it builds the G x G switch matrix, and from
         there on a table over the distinct fitness values, G x G when every
         value differs. An integer theta runs the sorted field in O(G)."""
-        if not float(self.theta).is_integer() and n_points ** 2 > MAX_TABLE_ENTRIES:
-            raise ScenarioError(f"smith theta={self.theta:g} with grid_points={n_points} needs "
-                                f"a {n_points} x {n_points} switch matrix, over the cap of "
-                                f"{MAX_TABLE_ENTRIES} entries", "grid_points")
+        if not float(self.theta).is_integer():
+            check_table(f"smith theta={self.theta:g} with grid_points={n_points}",
+                        "switch matrix", n_points ** 2, "grid_points")
 
 
 class PopulationModel:
@@ -145,7 +141,7 @@ class PopulationModel:
     Trans. IT 1998). The feasible rates of the last of N-1 companions are
     then a prefix of the grid, whose length is tabulated once for every node
     a and every N-2 other companions, so nu(D_a) is exact for every user
-    count. A table over MAX_TABLE_ENTRIES entries is rejected.
+    count. A table over capacity.MAX_TABLE_ENTRIES is rejected.
     """
 
     def __init__(self, game: StaticGame, grid: ActionGrid):
@@ -174,10 +170,8 @@ class PopulationModel:
 
 
 def _table_guard(n: int, g: int) -> None:
-    if g ** max(n - 1, 1) > MAX_TABLE_ENTRIES:
-        raise ScenarioError(f"users={n} with grid_points={g} needs a companion table of "
-                            f"{g}^{max(n - 1, 1)} entries, over the cap of {MAX_TABLE_ENTRIES}",
-                            "grid_points")
+    check_table(f"users={n} with grid_points={g}", "companion table", g ** max(n - 1, 1),
+                "grid_points")
 
 
 def _companion_counts(region, points: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Brute-force oracles that only the tests use: the coalitions as bitmasks
 and member tuples, one at a time, product-grid coalition deviation
-searches, seeded sampling of maximal-face profiles, the coalition room and
-the hybrid best replies by one loop over users and coalitions, the per-user
-CCE deviation table over every coalition, the safe rates by the scalar
+searches, seeded sampling of maximal-face profiles, the worst face vertex
+by enumerating all N! decoding orders, the coalition room and the hybrid
+best replies by one loop over users and coalitions, the per-user CCE
+deviation table over every coalition, the safe rates by the scalar
 per-user formula, and the hybrid field and integration loop that rebuild
 their constants on every call."""
 
@@ -15,7 +16,7 @@ from macgame.capacity import ScenarioError, check_array, contains, safe_rates
 from macgame.hybrid_dynamics import HybridDynConfig, channel_fitness
 from macgame.hybrid_game import HybridScenario, _feasible_unchecked
 from macgame.numerics import IntegratorConfig, NumericsError, rk4_step
-from macgame.static_game import StaticGame, payoff
+from macgame.static_game import StaticGame, _corners, payoff
 
 
 def coalitions(n_users: int):
@@ -90,6 +91,13 @@ def sample_max_face(game: StaticGame, n_samples: int,
         else:
             raise ScenarioError("max-face sampling failed to find a feasible point")
     return out
+
+
+def worst_vertex_oracle(game: StaticGame) -> tuple[float, np.ndarray]:
+    """The least welfare over the successive-cancellation corners of all N!
+    decoding orders, and those corners, one row per order."""
+    corners = _corners(game, np.array(list(itertools.permutations(range(game.n_users)))))
+    return float(game.g(np.arange(game.n_users), corners).sum(axis=1).min()), corners
 
 
 def room_oracle(caps: np.ndarray, rates) -> np.ndarray:

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from macgame.hybrid_game import HybridScenario
 
 from macgame.capacity import (
-    MAX_BOUND_ENTRIES,
+    MAX_TABLE_ENTRIES,
     MAX_USERS,
     ScenarioError,
     SingleReceiverScenario,
@@ -101,12 +102,22 @@ def test_both_scenario_kinds_refuse_21_users_when_built(cls):
 
 def test_bound_table_cap_admits_every_single_receiver_table():
     check_bound_table(MAX_USERS)
-    check_bound_table(1, MAX_BOUND_ENTRIES)
-    for n, nj in ((MAX_USERS, 2), (1, MAX_BOUND_ENTRIES + 1), (12, 4096)):
+    check_bound_table(1, MAX_TABLE_ENTRIES)
+    for n, nj in ((MAX_USERS, 2), (1, MAX_TABLE_ENTRIES + 1), (12, 4096)):
         with pytest.raises(ScenarioError, match=f"^receivers: users={n} with receivers={nj} "
                                                 f"needs a coalition-bound table of "
                                                 f"{((1 << n) - 1) * nj} entries"):
             check_bound_table(n, nj)
+
+
+def test_one_size_budget_in_the_package():
+    # every table cap reads capacity.MAX_TABLE_ENTRIES; the user cap follows from it
+    src = Path(__file__).resolve().parents[1] / "src" / "macgame"
+    literal = re.compile(r"\b1\s*<<\s*20\b|\b2\s*\*\*\s*20\b")
+    found = [path.name for path in sorted(src.glob("*.py"))
+             for _ in literal.finditer(path.read_text(encoding="utf-8"))]
+    assert found == ["capacity.py"]
+    assert MAX_TABLE_ENTRIES == 1 << 20 and MAX_USERS == 20
 
 
 def test_no_other_module_imports_a_private_capacity_name():

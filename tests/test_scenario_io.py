@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macgame import capacity, hybrid_dynamics, population, scenario_io
+from macgame import capacity, hybrid_dynamics, population, scenario_io, static_game
 from macgame.capacity import ScenarioError
 from macgame.cli import main
 from macgame.hybrid_game import is_hybrid_nash, potential_psi, receiver_capacity
@@ -463,25 +463,39 @@ class TestCli:
         assert main([task, str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"bad.json.{key}:" in capsys.readouterr().err
 
-    def test_companion_table_over_the_cap_exit_two(self, tmp_path, capsys):
-        doc = dict(MINIMAL_SINGLE, task="simulate", users=6,
-                   simulate={"grid_points": 101, "dt": 0.01, "t_end": 0.1})
-        path = write(tmp_path, "big.json", doc)
-        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "users=6" in err and "grid_points=101" in err
-
-    @pytest.mark.parametrize("g", [1025, 1 << 20])
-    def test_switch_matrix_over_the_cap_exit_two(self, tmp_path, capsys, g):
+    @pytest.mark.parametrize("doc, budget, key, message", [
+        # 2 users on 3 receivers need a table of 3 * 3 coalition bounds
+        (HYBRID_EXAMPLE, 8, "receivers",
+         "users=2 with receivers=3 needs a coalition-bound table of 9 entries, over the cap of 8"),
+        (dict(MINIMAL_SINGLE, task="simulate", users=6,
+              simulate={"grid_points": 101, "dt": 0.01, "t_end": 0.1}), None,
+         "simulate.grid_points", "users=6 with grid_points=101 needs a companion table of "
+                                 "10510100501 entries, over the cap of 1048576"),
         # N = 2 lets the companion table reach 2^20 nodes, but a non-integer
         # theta needs the G x G matrix, refused before the grid is filled
-        doc = dict(MINIMAL_SINGLE, task="simulate", users=2,
-                   simulate={"grid_points": g, "theta": 1.5, "dt": 0.01, "t_end": 0.01})
+        *((dict(MINIMAL_SINGLE, task="simulate", users=2,
+                simulate={"grid_points": g, "theta": 1.5, "dt": 0.01, "t_end": 0.01}), None,
+           "simulate.grid_points", f"smith theta=1.5 with grid_points={g} needs a switch matrix "
+                                   f"of {g * g} entries, over the cap of 1048576")
+          for g in (1025, 1 << 20)),
+        (dict(HYBRID_EXAMPLE, simulate=dict(HYBRID_EXAMPLE["simulate"], dev_resolution=1e-4)),
+         None, "simulate.dev_resolution", "dev_resolution=0.0001 with receivers=3 needs a "
+                                          "deviation simplex grid of 50015001 entries, over the "
+                                          "cap of 1048576"),
+    ], ids=["bound-table", "companion-table", "switch-matrix-1025", "switch-matrix-2^20",
+            "simplex-grid"])
+    def test_table_over_the_cap_exit_two(self, tmp_path, capsys, monkeypatch, doc, budget, key,
+                                         message):
+        def no_fill(*args, **kwargs):
+            raise AssertionError("a refused scenario filled its channel arrays")
+        if budget is not None:  # the bound table is refused before the arrays are filled
+            monkeypatch.setattr(capacity, "MAX_TABLE_ENTRIES", budget)
+            monkeypatch.setattr(scenario_io, "_filled", no_fill)
         path = write(tmp_path, "big.json", doc)
-        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert main([doc["task"], str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert (f"big.json.simulate.grid_points: smith theta=1.5 with grid_points={g} needs a "
-                f"{g} x {g} switch matrix, over the cap of 1048576 entries") in err
+        assert f"big.json.{key}: {message}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("g, theta", [(1024, 1.5), (1025, 2.0)])
@@ -490,23 +504,11 @@ class TestCli:
                    simulate={"grid_points": g, "theta": theta, "dt": 0.01, "t_end": 0.01})
         assert parse_doc(doc).block["grid"].n_points == g
 
-    def test_bound_table_over_the_cap_exit_two(self, tmp_path, capsys, monkeypatch):
-        # 2 users on 3 receivers need a table of 3 * 3 entries
-        def no_fill(*args, **kwargs):
-            raise AssertionError("a refused scenario filled its channel arrays")
-        monkeypatch.setattr(capacity, "MAX_BOUND_ENTRIES", 8)
-        monkeypatch.setattr(scenario_io, "_filled", no_fill)
-        path = write(tmp_path, "big.json", HYBRID_EXAMPLE)
-        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert (f"big.json.receivers: users=2 with receivers=3 needs a coalition-bound "
-                f"table of 9 entries, over the cap of 8") in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
     def test_bound_table_at_the_cap_is_accepted(self, monkeypatch):
-        monkeypatch.setattr(capacity, "MAX_BOUND_ENTRIES", 9)
-        assert parse_doc(HYBRID_EXAMPLE).scenario.cap_table.shape == (3, 3)
+        # the budget bounds every table, so the simplex grid is kept at 3 rows
+        monkeypatch.setattr(capacity, "MAX_TABLE_ENTRIES", 9)
+        doc = dict(HYBRID_EXAMPLE, simulate=dict(HYBRID_EXAMPLE["simulate"], dev_resolution=1.0))
+        assert parse_doc(doc).scenario.cap_table.shape == (3, 3)
 
     def test_twenty_users_on_4096_receivers_are_refused_at_parse(self):
         # each count is within its own bound, but the table would take 32 GiB;
@@ -518,15 +520,19 @@ class TestCli:
         assert exc.value.key == "big.json.receivers"
         assert f"table of {(2 ** 20 - 1) * 4096} entries" in exc.value.message
 
-    def test_vertex_search_over_the_cap_exit_two(self, tmp_path, capsys):
-        doc = dict(MINIMAL_SINGLE, users=7, utility={"family": "log1p"})
+    def test_concave_analyze_past_the_old_vertex_cap(self, tmp_path, capsys):
+        # 10! = 3628800 decoding orders; the subset lattice has 2^10 coalitions
+        rng = np.random.default_rng(10)
+        doc = dict(MINIMAL_SINGLE, users=10, power=rng.uniform(1.0, 40.0, 10).tolist(),
+                   gain=rng.uniform(0.2, 1.5, 10).tolist(), utility={"family": "log1p"})
         path = write(tmp_path, "big.json", doc)
-        assert main(["analyze", str(path)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert ("big.json.users: users=7 needs the worst equilibrium searched over "
-                "7! = 5040 face vertices, over the cap of 6") in err
-        assert "Traceback" not in err
+        assert main(["analyze", str(path)]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert 0.0 < metrics["spoa"] <= metrics["pos"] == 1.0
+        game = parse_doc(doc).block["game"]
+        orders = np.argsort(rng.random((2000, 10)), axis=1)
+        sampled = game.g(np.arange(10), static_game._corners(game, orders)).sum(axis=1).min()
+        assert metrics["spoa"] * metrics["social_optimum"] <= sampled + 1e-12
 
     def test_identity_utility_needs_no_vertex_search(self, tmp_path, capsys):
         # every equilibrium of the identity family has welfare C_N

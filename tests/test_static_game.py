@@ -10,6 +10,7 @@ from macgame.cli import main
 from macgame.static_game import (
     UtilitySpec,
     _corners,
+    _worst_corner_welfare,
     best_response_info,
     efficiency_metrics,
     ess_resists_invasion,
@@ -22,7 +23,8 @@ from macgame.static_game import (
     symmetric_ess,
 )
 
-from oracles import coalition_improvement_exists, is_strong_oracle, sample_max_face
+from oracles import (coalition_improvement_exists, is_strong_oracle, sample_max_face,
+                     worst_vertex_oracle)
 
 
 def sym_game(n=3, ph=25.0, noise=0.1, utility=None):
@@ -316,10 +318,27 @@ class TestEfficiencyMetrics:
             g = make_game(s, util)
             assert efficiency_metrics(g)["social_optimum"] == social_optimum(g)[1]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("family, gamma", [("log1p", None), ("power", 0.5), ("power", 0.7)])
+    def test_lattice_pass_matches_the_vertex_enumeration(self, n, family, gamma):
+        # the subset-lattice shortest path sums each corner's utilities in
+        # decoding order, the enumeration by user index: equal up to rounding
+        rng = np.random.default_rng(100 * n + int(10 * (gamma or 0.0)))
+        for symmetric, scaled, _ in itertools.product((True, False), (False, True), range(3)):
+            power, gain = rng.uniform(1.0, 40.0, n), rng.uniform(0.2, 1.5, n)
+            if symmetric:
+                power, gain = np.full(n, power[0]), np.ones(n)
+            s = SingleReceiverScenario(power, gain, rng.uniform(0.1, 1.0),
+                                       str(rng.choice(["2", "e"])))
+            scale = rng.uniform(0.5, 3.0, n) if scaled else None
+            g = make_game(s, UtilitySpec(family, gamma, scale))
+            worst, _ = worst_vertex_oracle(g)
+            assert _worst_corner_welfare(g) == pytest.approx(worst, rel=1e-15, abs=0.0)
+
 
 def all_corners(game):
     """The successive-cancellation corners of all N! decoding orders."""
-    return _corners(game, np.array(list(itertools.permutations(range(game.n_users)))))
+    return worst_vertex_oracle(game)[1]
 
 
 def active_set_vertices(game):
