@@ -109,7 +109,7 @@ def is_cce(device: CorrelatedDevice, game: StaticGame,
     excess = np.maximum(-atoms.min(axis=1), (atoms @ member.T - bounds).max(axis=1))
     infeasible = np.flatnonzero(excess > CCE_SLACK)
     if infeasible.size:
-        raise ScenarioError(f"support profile {infeasible[0]} is infeasible")
+        raise ScenarioError(f"support profile {infeasible[0]} is infeasible", "profiles")
     # obedience payoff of every user at every atom; a rate up to the slack
     # below zero earns g_i(0), as the power family is undefined below it
     own = game.g(np.arange(game.n_users), np.maximum(atoms, 0.0))

@@ -27,13 +27,6 @@ from .static_game import StaticGame
 
 PROTOCOL_KINDS = ("bnn", "replicator", "smith")
 
-#: smallest grid on which Smith runs the sorted field instead of the dense
-#: G x G switch matrix, for every theta: measured against the in-place
-#: matrix, the sorted field is the faster from here on at theta = 1, 1.5
-#: and 2 (from G = 81 at theta = 1; at theta = 2 the two tie at G = 101 to
-#: 115, and at 128 take 33 against 42 us; README, "Notes on the dynamics")
-SORTED_SMITH_MIN_POINTS = 128
-
 
 @dataclass(frozen=True)
 class ActionGrid:
@@ -44,7 +37,7 @@ class ActionGrid:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
-            raise ScenarioError("grid needs at least two points")
+            raise ScenarioError("grid needs at least two points", "grid_points")
         steps = np.diff(pts)
         if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ScenarioError("grid must be strictly increasing with uniform spacing")
@@ -74,7 +67,7 @@ class ActionGrid:
             raise ScenarioError("include point must lie in (0, hi]")
         k = int(np.floor(include * (n_points - 1) / hi))
         if k < 1:
-            raise ScenarioError("grid too coarse to anchor the requested point")
+            raise ScenarioError("grid too coarse to anchor the requested point", "grid_points")
         return cls(np.arange(n_points) * (include / k))
 
     @classmethod
@@ -124,10 +117,9 @@ class RevisionProtocol:
 
     def check_grid(self, n_points: int) -> None:
         """Refuse a grid on which the field may need a table over
-        capacity.MAX_TABLE_ENTRIES. Only a non-integer theta can: below
-        SORTED_SMITH_MIN_POINTS it builds the G x G switch matrix, and from
-        there on a table over the distinct fitness values, G x G when every
-        value differs. An integer theta runs the sorted field in O(G)."""
+        capacity.MAX_TABLE_ENTRIES. Only a non-integer theta can: it builds
+        a table over the distinct fitness values, G x G when every value
+        differs. An integer theta runs the sorted field in O(G)."""
         if not float(self.theta).is_integer():
             check_table(f"smith theta={self.theta:g} with grid_points={n_points}",
                         "switch matrix", n_points ** 2, "grid_points")
@@ -226,21 +218,6 @@ def _fitness(model: PopulationModel, lam: np.ndarray) -> np.ndarray:
     return gate * model.g_values * model.companion_feasibility(lam)
 
 
-def _switch_matrix(protocol: RevisionProtocol, F: np.ndarray) -> np.ndarray:
-    """Smith switch rates: B[x, a] = max(F_a - F_x, 0)^theta, built in the
-    one G x G buffer of the difference; a fresh temporary per step would
-    be page-faulted in on every evaluation."""
-    gap = F[None, :] - F[:, None]
-    np.maximum(gap, 0.0, out=gap)
-    if protocol.theta == 2.0:
-        # numpy squares without pow, as gap ** 2 does
-        np.square(gap, out=gap)
-    elif protocol.theta != 1.0:
-        # 0^theta = 0, so raising only the positive gaps changes no bit
-        np.power(gap, protocol.theta, out=gap, where=gap > 0.0)
-    return gap
-
-
 def _sorted_smith_flows(lam: np.ndarray, F: np.ndarray,
                         theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Smith inflow sum_x lam_x max(F_a - F_x, 0)^theta and outflow
@@ -315,12 +292,7 @@ def _rhs_unchecked(lam: np.ndarray, protocol: RevisionProtocol,
         # to a; the net inflow sums to lambda_a (F_a - lambda.F), so nodes
         # without mass stay without mass
         return K * lam * (F - float(lam @ F))
-    if F.size >= SORTED_SMITH_MIN_POINTS:
-        inflow, outflow = _sorted_smith_flows(lam, F, protocol.theta)
-    else:
-        B = _switch_matrix(protocol, F)
-        inflow = lam @ B
-        outflow = lam * B.sum(axis=1)
+    inflow, outflow = _sorted_smith_flows(lam, F, protocol.theta)
     return K * (inflow - outflow)
 
 

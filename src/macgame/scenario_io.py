@@ -382,7 +382,8 @@ def _verify_single(sf: ScenarioFile, game: StaticGame, report: RunReport) -> Non
         report.verdicts["profile_is_nash"] = static_game.is_nash(
             game, blk["profile"], blk["nash_tol"])
     if "device" in blk:
-        verdict = correlated.is_cce(blk["device"], game, blk["dev_points"], blk["cce_tol"])
+        with _at("verify.device"):
+            verdict = correlated.is_cce(blk["device"], game, blk["dev_points"], blk["cce_tol"])
         report.verdicts["device_is_cce"] = verdict.ok
         if verdict.witness is not None:
             w = verdict.witness

@@ -1,11 +1,11 @@
 """Brute-force oracles that only the tests use: the coalitions as bitmasks
 and member tuples, one at a time, product-grid coalition deviation
 searches, seeded sampling of maximal-face profiles, the worst face vertex
-by enumerating all N! decoding orders, the coalition room and the hybrid
-best replies by one loop over users and coalitions, the per-user CCE
-deviation table over every coalition, the safe rates by the scalar
-per-user formula, and the hybrid field and integration loop that rebuild
-their constants on every call."""
+by enumerating all N! decoding orders, the dense Smith switch matrix, the
+coalition room and the hybrid best replies by one loop over users and
+coalitions, the per-user CCE deviation table over every coalition, the
+safe rates by the scalar per-user formula, and the hybrid field and
+integration loop that rebuild their constants on every call."""
 
 import itertools
 import math
@@ -98,6 +98,12 @@ def worst_vertex_oracle(game: StaticGame) -> tuple[float, np.ndarray]:
     decoding orders, and those corners, one row per order."""
     corners = _corners(game, np.array(list(itertools.permutations(range(game.n_users)))))
     return float(game.g(np.arange(game.n_users), corners).sum(axis=1).min()), corners
+
+
+def smith_switch_matrix(F: np.ndarray, theta: float) -> np.ndarray:
+    """Smith switch rates B[x, a] = max(F_a - F_x, 0)^theta over every pair
+    of grid nodes: inflow lam @ B, outflow lam * B.sum(axis=1)."""
+    return np.maximum(F[None, :] - F[:, None], 0.0) ** theta
 
 
 def room_oracle(caps: np.ndarray, rates) -> np.ndarray:

@@ -1,12 +1,12 @@
-"""Golden outputs of the shipped analyze and verify scenarios and of two
-short fractional-theta Smith runs.
+"""Golden outputs of the shipped analyze, verify and population simulate
+scenarios and of two short fractional-theta Smith runs.
 
-Each scenario case runs one file of scenarios/ through cli.main and pins the
-SHA-256 of the exit code and stdout, "<code>\\n<stdout>". The Smith cases pin
-the exit code, the CSV and report.json, which names its artifacts relative
-to the output directory. A change that is meant to leave every output as it
-was must leave these hashes alone; one that is meant to change an output
-updates the hash and says why.
+Each analyze or verify case runs one file of scenarios/ through cli.main and
+pins the SHA-256 of the exit code and stdout, "<code>\\n<stdout>". The
+simulate cases pin the exit code, the CSV and report.json, which names its
+artifacts relative to the output directory. A change that is meant to leave
+every output as it was must leave these hashes alone; one that is meant to
+change an output updates the hash and says why.
 """
 
 import hashlib
@@ -43,24 +43,35 @@ def test_shipped_scenarios_back_to_back_are_unchanged(reverse, capsys):
         assert digest == GOLDEN[name], name
 
 
-# N = 2 at theta = 1.5, sampled at each of its 10 RK4 steps: on 401 nodes
-# the sorted field with its table over the distinct fitness values, on 127
-# the dense switch matrix
+def simulate_digest(path, out) -> str:
+    code = cli.main(["simulate", str(path), "--out", str(out)])
+    report = (out / "report.json").read_bytes()
+    assert json.loads(report)["artifacts"] == ["population.csv"]
+    blob = f"{code}\n".encode() + (out / "population.csv").read_bytes() + report
+    return hashlib.sha256(blob).hexdigest()
+
+
+POPULATION_GOLDEN = "f7aaec5662e8268a94a4be5490f2423bda0ab6cef2a7517d96e70f0103dbc947"
+
+
+def test_shipped_population_run_is_unchanged(tmp_path):
+    digest = simulate_digest(SCENARIOS / "simulate_population.json", tmp_path / "out")
+    assert digest == POPULATION_GOLDEN
+
+
+# N = 2 at theta = 1.5, sampled at each of its 10 RK4 steps, on 401 and on
+# 127 nodes: the Smith field's table over the distinct fitness values
 SMITH_DOC = {"kind": "single_receiver", "task": "simulate", "users": 2, "power": 25.0,
              "gain": 1.0, "noise": 0.1,
              "simulate": {"grid_points": 401, "protocol": "smith", "theta": 1.5,
                           "dt": 0.01, "t_end": 0.1, "sample_every": 1}}
 SMITH_GOLDEN = {401: "eb2831912c6d03c4aa3326a2a773f572227455f468c5898d70f841ed227a7198",
-                127: "d16efc50188dfffc96e453e18b261068c79e6ac30deeec8f29b66e9c0fd60926"}
+                127: "2ec9960d2812f00bace5eb9a86aa92e5680ec62fa4072094869f5b5cb04f63be"}
 
 
 @pytest.mark.parametrize("grid_points", sorted(SMITH_GOLDEN))
 def test_fractional_smith_run_is_unchanged(tmp_path, grid_points):
     doc = dict(SMITH_DOC, simulate=dict(SMITH_DOC["simulate"], grid_points=grid_points))
-    path, out = tmp_path / "smith.json", tmp_path / "out"
+    path = tmp_path / "smith.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code = cli.main(["simulate", str(path), "--out", str(out)])
-    report = (out / "report.json").read_bytes()
-    assert json.loads(report)["artifacts"] == ["population.csv"]
-    blob = f"{code}\n".encode() + (out / "population.csv").read_bytes() + report
-    assert hashlib.sha256(blob).hexdigest() == SMITH_GOLDEN[grid_points]
+    assert simulate_digest(path, tmp_path / "out") == SMITH_GOLDEN[grid_points]

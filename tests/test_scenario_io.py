@@ -454,6 +454,11 @@ class TestCli:
          "verify.device.weights"),
         # run-time rule: the normalized equilibrium needs a strictly concave utility
         ("single_receiver", "analyze", {"tau": [1.0, 1.0, 1.0]}, "analyze.tau"),
+        # a grid of one node, and two nodes that cannot put C_N / N on a node
+        ("single_receiver", "simulate", {"grid_points": 1, "dt": 0.01, "t_end": 0.1},
+         "simulate.grid_points"),
+        ("single_receiver", "simulate", {"grid_points": 2, "anchor_equilibrium": True,
+                                         "dt": 0.01, "t_end": 0.1}, "simulate.grid_points"),
     ])
     def test_bad_profile_array_exit_two(self, tmp_path, capsys, kind, task, block, key):
         base = HYBRID_EXAMPLE if kind == "hybrid" else MINIMAL_SINGLE
@@ -462,6 +467,15 @@ class TestCli:
         path = write(tmp_path, "bad.json", doc)
         assert main([task, str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"bad.json.{key}:" in capsys.readouterr().err
+
+    def test_infeasible_device_names_its_profiles(self, tmp_path, capsys):
+        doc = dict(MINIMAL_SINGLE, task="verify",
+                   verify={"device": {"profiles": [[1.0, 1.0, 1.0], [100.0, 100.0, 100.0]],
+                                      "weights": [0.5, 0.5]}})
+        path = write(tmp_path, "dev.json", doc)
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}.verify.device.profiles: support profile 1 is infeasible\n")
 
     @pytest.mark.parametrize("doc, budget, key, message", [
         # 2 users on 3 receivers need a table of 3 * 3 coalition bounds
