@@ -116,13 +116,19 @@ class RevisionProtocol:
             raise ScenarioError(f"must be positive, got {self.growth!r}", "growth")
 
     def check_grid(self, n_points: int) -> None:
-        """Refuse a grid on which the field may need a table over
-        capacity.MAX_TABLE_ENTRIES. Only a non-integer theta can: it builds
-        a table over the distinct fitness values, G x G when every value
-        differs. An integer theta runs the sorted field in O(G)."""
+        """Refuse a grid on which the Smith field would pass
+        capacity.MAX_TABLE_ENTRIES. A non-integer theta builds a value table
+        over the distinct fitness values, G x G when every value differs. An
+        integer theta runs the binomial recurrence, whose orders r <= theta
+        cost about theta (theta + 1) / 2 arrays of G entries; at theta = 1
+        that is no more than the companion table ActionGrid.for_game bounds."""
+        settings = f"smith theta={self.theta:g} with grid_points={n_points}"
         if not float(self.theta).is_integer():
-            check_table(f"smith theta={self.theta:g} with grid_points={n_points}",
-                        "switch matrix", n_points ** 2, "grid_points")
+            check_table(settings, "value table", n_points ** 2, "grid_points")
+        elif self.theta > 1.0:
+            theta = int(self.theta)
+            check_table(settings, "binomial recurrence", theta * (theta + 1) // 2 * n_points,
+                        "theta")
 
 
 class PopulationModel:
@@ -155,7 +161,10 @@ class PopulationModel:
         draws from the state keep the profile feasible."""
         if self.game.n_users == 1:
             return self._counts.astype(float)
-        nu = np.concatenate(([0.0], np.cumsum(lam)))[self._counts]
+        cum = np.empty(lam.size + 1)
+        cum[0] = 0.0
+        np.add.accumulate(lam, out=cum[1:])
+        nu = cum[self._counts]
         for _ in range(self.game.n_users - 2):
             nu = nu @ lam
         return nu
@@ -209,11 +218,13 @@ def in_mixed_region(mass, model: PopulationModel, tol: float = 1e-9) -> bool:
 
 def fitness_vector(model: PopulationModel, mass) -> np.ndarray:
     """F(a, mu) on every grid node: feasibility-gated payoff times nu(D_a)."""
-    return _fitness(model, _state(mass, model.grid))
+    lam = _state(mass, model.grid)
+    return _fitness(model, lam, float(model.grid.points @ lam))
 
 
-def _fitness(model: PopulationModel, lam: np.ndarray) -> np.ndarray:
-    gate_cap = model.sum_capacity - (model.game.n_users - 1) * float(model.grid.points @ lam)
+def _fitness(model: PopulationModel, lam: np.ndarray, e: float) -> np.ndarray:
+    """F on every node of the state lam, whose mean rate is e."""
+    gate_cap = model.sum_capacity - (model.game.n_users - 1) * e
     gate = (model.grid.points <= gate_cap + 1e-12).astype(float)
     return gate * model.g_values * model.companion_feasibility(lam)
 
@@ -223,7 +234,7 @@ def _sorted_smith_flows(lam: np.ndarray, F: np.ndarray,
     """Smith inflow sum_x lam_x max(F_a - F_x, 0)^theta and outflow
     lam_a sum_x max(F_x - F_a, 0)^theta on F sorted stably.
 
-    Integer theta runs in O(theta G). With d_k = F_(k+1) - F_(k) >= 0, the
+    Integer theta runs in O(theta^2 G). With d_k = F_(k+1) - F_(k) >= 0, the
     sums below a node, I_r[k] = sum_{j<k} lam_(j) (F_(k) - F_(j))^r, grow by
     the binomial expansion of (d_k + F_(k) - F_(j))^r:
         I_r[k+1] - I_r[k] = d_k^r Lam_{<=k} + sum_{1<=s<r} C(r,s) d_k^(r-s) I_s[k],
@@ -235,28 +246,36 @@ def _sorted_smith_flows(lam: np.ndarray, F: np.ndarray,
     distinct values, w_k the mass and c_k the node count of each, one
     K x K table gap[k, j] = max(v_k - v_j, 0)^theta gives the inflow
     (gap @ w)_k and the outflow lam_a (c @ gap)_k of a node of run k.
+
+    Both forms call the ufuncs directly: on arrays this small the Python
+    wrappers np.diff, np.cumsum and np.concatenate cost more than the
+    arithmetic, and the ufuncs give the same bits.
     """
     order = np.argsort(F, kind="stable")
     f, w = F[order], lam[order]
     inflow, outflow = np.empty_like(F), np.empty_like(F)
     if not float(theta).is_integer():
-        first = np.concatenate(([True], f[1:] != f[:-1]))
-        starts = np.flatnonzero(first)
-        run = np.cumsum(first) - 1
+        first = np.empty(f.size, dtype=bool)
+        first[0] = True
+        np.not_equal(f[1:], f[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        run = np.add.accumulate(first, dtype=np.intp) - 1
         v = f[starts]
         gap = v[:, None] - v[None, :]
         np.maximum(gap, 0.0, out=gap)
         np.power(gap, theta, out=gap, where=gap > 0.0)
-        counts = np.diff(starts, append=f.size).astype(float)
+        counts = np.empty(starts.size)
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = f.size - starts[-1]
         inflow[order] = (gap @ np.add.reduceat(w, starts))[run]
         outflow[order] = w * (counts @ gap)[run]
         return inflow, outflow
     theta = int(theta)
-    d = np.diff(f)
+    d = f[1:] - f[:-1]
     d_pow = [None, d]
     for _ in range(2, theta + 1):
         d_pow.append(d_pow[-1] * d)
-    below = np.cumsum(w)[:-1]
+    below = np.add.accumulate(w)[:-1]
     above = np.arange(f.size - 1, 0, -1, dtype=float)
     inc, dec = [None], [None]
     for r in range(1, theta + 1):
@@ -265,8 +284,13 @@ def _sorted_smith_flows(lam: np.ndarray, F: np.ndarray,
             c = math.comb(r, s) * d_pow[r - s]
             step_in += c * inc[s][:-1]
             step_out += c * dec[s][1:]
-        inc.append(np.concatenate(([0.0], np.cumsum(step_in))))
-        dec.append(np.concatenate((np.cumsum(step_out[::-1])[::-1], [0.0])))
+        # I_r from 0 at the lowest node, U_r from 0 at the highest
+        i_r, u_r = np.empty(f.size), np.empty(f.size)
+        i_r[0] = u_r[-1] = 0.0
+        np.add.accumulate(step_in, out=i_r[1:])
+        np.add.accumulate(step_out[::-1], out=u_r[-2::-1])
+        inc.append(i_r)
+        dec.append(u_r)
     inflow[order] = inc[theta]
     outflow[order] = w * dec[theta]
     return inflow, outflow
@@ -279,7 +303,7 @@ def _rhs_unchecked(lam: np.ndarray, protocol: RevisionProtocol,
     e = float(model.grid.points @ lam)
     if not -tol <= e <= model.sum_capacity / model.game.n_users + tol:
         return np.zeros_like(lam)
-    F = _fitness(model, lam)
+    F = _fitness(model, lam, e)
     # the step is the reference measure of the destination integrals; without
     # it the switch-rate sums grow with the node count and the dynamics'
     # timescale would depend on the discretization

@@ -1,5 +1,6 @@
 """Golden outputs of the shipped analyze, verify and population simulate
-scenarios and of two short fractional-theta Smith runs.
+scenarios, of a short run of every revision protocol and of two short
+fractional-theta Smith runs.
 
 Each analyze or verify case runs one file of scenarios/ through cli.main and
 pins the SHA-256 of the exit code and stdout, "<code>\\n<stdout>". The
@@ -75,3 +76,27 @@ def test_fractional_smith_run_is_unchanged(tmp_path, grid_points):
     path = tmp_path / "smith.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert simulate_digest(path, tmp_path / "out") == SMITH_GOLDEN[grid_points]
+
+
+# 10 RK4 steps sampled at each step, from the uniform state on 101 nodes at
+# N = 2 and on 41 nodes at N = 3, where the companion CDF meets one nu @ lam
+PROTOCOL_GOLDEN = {
+    (2, "bnn", 1.0): "cf96ebe931bd9a3ea8282bbc81e00e9c511dabcff82f7d6f1de4fbeb6f769cb9",
+    (2, "replicator", 1.0): "02191e9ad75d6fd4fed482f651693c86d4a0f9b0db56956df30e1e016080b8d2",
+    (2, "smith", 1.0): "77ffe6cc3888e4b6d1a6ec246e828d9257de869ea3a7e56ca1e71128404fef5d",
+    (2, "smith", 2.0): "76d02692ad8932ff975792249382ef48ec8b0772c6297d4eb840ad13e1197221",
+    (3, "smith", 2.0): "b1c5896a02094eb3433709421772d5421155c38b579fcf4ad6ff85abbd232274",
+}
+
+
+@pytest.mark.parametrize("users, protocol, theta", sorted(PROTOCOL_GOLDEN),
+                         ids=lambda v: f"{v:g}" if isinstance(v, float) else str(v))
+def test_protocol_run_is_unchanged(tmp_path, users, protocol, theta):
+    doc = {"kind": "single_receiver", "task": "simulate", "users": users, "power": 1.0,
+           "gain": 1.0, "noise": 1.0,
+           "simulate": {"grid_points": 101 if users == 2 else 41, "protocol": protocol,
+                        "theta": theta, "dt": 0.01, "t_end": 0.1, "sample_every": 1}}
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    digest = simulate_digest(path, tmp_path / "out")
+    assert digest == PROTOCOL_GOLDEN[users, protocol, theta]

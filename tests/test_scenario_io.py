@@ -486,18 +486,24 @@ class TestCli:
          "simulate.grid_points", "users=6 with grid_points=101 needs a companion table of "
                                  "10510100501 entries, over the cap of 1048576"),
         # N = 2 lets the companion table reach 2^20 nodes, but a non-integer
-        # theta needs the G x G matrix, refused before the grid is filled
+        # theta needs the G x G value table, refused before the grid is filled
         *((dict(MINIMAL_SINGLE, task="simulate", users=2,
                 simulate={"grid_points": g, "theta": 1.5, "dt": 0.01, "t_end": 0.01}), None,
-           "simulate.grid_points", f"smith theta=1.5 with grid_points={g} needs a switch matrix "
+           "simulate.grid_points", f"smith theta=1.5 with grid_points={g} needs a value table "
                                    f"of {g * g} entries, over the cap of 1048576")
           for g in (1025, 1 << 20)),
+        # an integer theta runs theta (theta + 1) / 2 recurrence arrays of G
+        (dict(MINIMAL_SINGLE, task="simulate", users=2,
+              simulate={"grid_points": 101, "theta": 1e300, "dt": 0.01, "t_end": 0.01}), None,
+         "simulate.theta", f"smith theta=1e+300 with grid_points=101 needs a binomial recurrence "
+                           f"of {math.comb(int(1e300) + 1, 2) * 101} entries, over the cap of "
+                           f"1048576"),
         (dict(HYBRID_EXAMPLE, simulate=dict(HYBRID_EXAMPLE["simulate"], dev_resolution=1e-4)),
          None, "simulate.dev_resolution", "dev_resolution=0.0001 with receivers=3 needs a "
                                           "deviation simplex grid of 50015001 entries, over the "
                                           "cap of 1048576"),
-    ], ids=["bound-table", "companion-table", "switch-matrix-1025", "switch-matrix-2^20",
-            "simplex-grid"])
+    ], ids=["bound-table", "companion-table", "value-table-1025", "value-table-2^20",
+            "recurrence-theta-1e300", "simplex-grid"])
     def test_table_over_the_cap_exit_two(self, tmp_path, capsys, monkeypatch, doc, budget, key,
                                          message):
         def no_fill(*args, **kwargs):
@@ -512,8 +518,11 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("g, theta", [(1024, 1.5), (1025, 2.0)])
-    def test_switch_matrix_at_the_cap_or_sorted_is_accepted(self, g, theta):
+    # the value table at the cap, and the recurrence at the benchmark's
+    # theta <= 2 on 401 nodes and at theta = 3 on 1601
+    @pytest.mark.parametrize("g, theta", [(1024, 1.5), (1025, 2.0), (401, 1.0), (401, 2.0),
+                                          (1601, 3.0)])
+    def test_smith_table_within_the_cap_is_accepted(self, g, theta):
         doc = dict(MINIMAL_SINGLE, task="simulate", users=2,
                    simulate={"grid_points": g, "theta": theta, "dt": 0.01, "t_end": 0.01})
         assert parse_doc(doc).block["grid"].n_points == g
